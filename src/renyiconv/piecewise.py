@@ -5,14 +5,19 @@ All coefficients and breakpoints are `fractions.Fraction`; every operation
 is carried out without any floating point, so results are reproducible
 bit-for-bit.  Values are immutable after construction and all operations
 are pure functions.
+
+The hot kernels work on integer numerators over a common denominator:
+Horner's rule for evaluation, and for convolution the truncated-power
+("jump") form of de Boor, A Practical Guide to Splines, with integer Taylor
+shifts (von zur Gathen and Gerhard, ISSAC 1997); see PiecewisePoly.convolve.
 """
 from __future__ import annotations
 
 import json
 from bisect import bisect_right
 from fractions import Fraction
-from math import comb
-from typing import Iterable, Iterator, Sequence, Union
+from math import factorial, lcm
+from typing import Iterable, Iterator, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -47,13 +52,15 @@ class Polynomial:
     empty coefficient tuple.
     """
 
-    __slots__ = ("coeffs",)
+    # _ints: (numerators, common denominator) of coeffs, made on first call
+    __slots__ = ("coeffs", "_ints")
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
         cs = [as_fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Polynomial is immutable")
@@ -73,11 +80,21 @@ class Polynomial:
         return Fraction(0)
 
     def __call__(self, x: RationalLike) -> Fraction:
+        """Exact value, by Horner's rule on integers: with x = p/q and
+        coefficients n_k / den, the value is sum n_k p^k q^(d-k) / (den q^d)."""
         x = as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        if not self.coeffs:
+            return Fraction(0)
+        if self._ints is None:
+            den = lcm(*(c.denominator for c in self.coeffs))
+            object.__setattr__(self, "_ints", ([c.numerator * (den // c.denominator) for c in self.coeffs], den))
+        nums, den = self._ints
+        p, q = x.numerator, x.denominator
+        acc, qk = nums[-1], 1
+        for n in reversed(nums[:-1]):
+            qk *= q
+            acc = acc * p + n * qk
+        return Fraction(acc, den * qk)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
@@ -161,44 +178,34 @@ class Polynomial:
 _ZERO_POLY = Polynomial()
 
 
-def _bivariate_antiderivative(p: Polynomial, q: Polynomial) -> list[Polynomial]:
-    """Antiderivative in t of p(t) * q(x - t), as coefficients of powers of t.
+def _taylor_shift(cs: list[int], s: int) -> list[int]:
+    """Coefficients of sum_k cs[k] (y + s)^k for integers cs and s, by
+    repeated synthetic division (Horner's scheme as a Taylor shift)."""
+    cs = list(cs)
+    for i in range(len(cs) - 1):
+        for k in range(len(cs) - 2, i - 1, -1):
+            cs[k] += s * cs[k + 1]
+    return cs
 
-    Returns B with B[k] a Polynomial in x such that
-    d/dt [ sum_k B[k](x) t^k ] = p(t) q(x - t).
+
+def _jumps(f: "PiecewisePoly", scale: int) -> tuple[dict[int, list[int]], int]:
+    """Jump form of y -> f(y / scale), where scale * b is an integer at
+    every breakpoint b.
+
+    Returns ({scale * b: [u_0, ..., u_d]}, den): u_k / den is the jump at
+    scale * b of the k-th derivative in y, with d the largest piece degree.
     """
-    max_t = p.degree + q.degree + 1
-    acc: list[dict[int, Fraction]] = [dict() for _ in range(max_t + 1)]
-    for i, pi in enumerate(p.coeffs):
-        if pi == 0:
-            continue
-        for j, qj in enumerate(q.coeffs):
-            if qj == 0:
-                continue
-            for m in range(j + 1):
-                c = pi * qj * comb(j, m)
-                if m & 1:
-                    c = -c
-                tpow = i + m + 1
-                xpow = j - m
-                slot = acc[tpow]
-                slot[xpow] = slot.get(xpow, Fraction(0)) + c / tpow
-    out = []
-    for slot in acc:
-        if not slot:
-            out.append(_ZERO_POLY)
-            continue
-        deg = max(slot)
-        out.append(Polynomial([slot.get(k, Fraction(0)) for k in range(deg + 1)]))
-    return out
-
-
-def _substitute(tpolys: Sequence[Polynomial], arg: Polynomial) -> Polynomial:
-    """Evaluate sum_k tpolys[k](x) * arg(x)^k by Horner in arg."""
-    acc = Polynomial()
-    for bk in reversed(tpolys):
-        acc = acc * arg + bk
-    return acc
+    d = max(p.degree for p in f.pieces)
+    den = lcm(*(c.denominator for p in f.pieces for c in p.coeffs))
+    jumps, prev = {}, [0] * (d + 1)
+    for b, p in zip(f.breakpoints, f.pieces + (_ZERO_POLY,)):
+        beta = b.numerator * (scale // b.denominator)
+        cur = [c.numerator * (den // c.denominator) * scale ** (d - k) for k, c in enumerate(p.coeffs)]
+        cur += [0] * (d - p.degree)
+        right, left = _taylor_shift(cur, beta), _taylor_shift(prev, beta)
+        jumps[beta] = [factorial(k) * (r - l) for k, (r, l) in enumerate(zip(right, left))]
+        prev = cur
+    return jumps, den * scale ** d
 
 
 class PiecewisePoly:
@@ -464,48 +471,42 @@ class PiecewisePoly:
     # convolution
 
     def convolve(self, other: "PiecewisePoly") -> "PiecewisePoly":
-        """Exact convolution (f * g)(x) = int f(t) g(x - t) dt.
+        """Exact convolution (f * g)(x) = int f(t) g(x - t) dt, in jump form.
 
-        For every pair of pieces P on [a1, a2] and Q on [c1, c2] the
-        integral runs over t in [max(a1, x - c2), min(a2, x - c1)].  On each
-        interval between consecutive pairwise breakpoint sums the active
-        limits are fixed linear functions of x, so the t-antiderivative of
-        P(t) Q(x - t) evaluated at those limits gives the exact piece.
+        In truncated powers, f = sum J_{a,j} (x-a)_+^j / j! over breakpoints
+        a and orders j, with J_{a,j} the jump of the j-th derivative at a,
+        and g = sum J_{b,k} (x-b)_+^k / k! likewise.  By the identity
+
+            (x-a)_+^j/j! * (x-b)_+^k/k! = (x-a-b)_+^(j+k+1) / (j+k+1)!
+
+        the jump of order m of f * g at s is the sum of J_{a,j} J_{b,k} over
+        a + b = s and j + k + 1 = m.  One integer Taylor shift per distinct s
+        turns jumps back into monomials, and a running sum over s gives the
+        pieces.  The variable is scaled so that every breakpoint is an
+        integer, and all of it is integer arithmetic over one denominator.
         """
         if self.is_zero() or other.is_zero():
             return PiecewisePoly.zero()
-        cuts = sorted({bf + bg for bf in self.breakpoints for bg in other.breakpoints})
-        fpieces = list(self.intervals())
-        gpieces = list(other.intervals())
-        cache: dict[tuple[int, int], list[Polynomial]] = {}
-        out = []
-        for lo, hi in zip(cuts, cuts[1:]):
-            mid = (lo + hi) / 2
-            total = _ZERO_POLY
-            for fi, (a1, a2, p) in enumerate(fpieces):
-                if p.is_zero():
-                    continue
-                for gi, (c1, c2, q) in enumerate(gpieces):
-                    if q.is_zero():
-                        continue
-                    if not (a1 + c1 < mid < a2 + c2):
-                        continue
-                    key = (fi, gi)
-                    if key not in cache:
-                        cache[key] = _bivariate_antiderivative(p, q)
-                    anti = cache[key]
-                    # active limits on this interval: linear polynomials in x
-                    if a1 >= mid - c2:
-                        lower = Polynomial([a1])
-                    else:
-                        lower = Polynomial([-c2, 1])
-                    if a2 <= mid - c1:
-                        upper = Polynomial([a2])
-                    else:
-                        upper = Polynomial([-c1, 1])
-                    total = total + _substitute(anti, upper) - _substitute(anti, lower)
-            out.append(total)
-        return PiecewisePoly(cuts, out)
+        scale = lcm(*(b.denominator for b in self.breakpoints + other.breakpoints))
+        (jf, den_f), (jg, den_g) = _jumps(self, scale), _jumps(other, scale)
+        top = max(p.degree for p in self.pieces) + max(p.degree for p in other.pieces) + 1
+        acc: dict[int, list[int]] = {}
+        for a, uf in jf.items():
+            for b, ug in jg.items():
+                out = acc.setdefault(a + b, [0] * (top + 1))
+                for j, u in enumerate(uf):
+                    if u:
+                        for m, v in enumerate(ug, j + 1):
+                            out[m] += u * v
+        # jumps are in y = scale * x, and dy = scale dx
+        den = den_f * den_g * factorial(top) * scale
+        cuts = sorted(acc)
+        pieces, run = [], [0] * (top + 1)
+        for s in cuts[:-1]:
+            taylor = [u * (factorial(top) // factorial(m)) for m, u in enumerate(acc[s])]
+            run = [r + t for r, t in zip(run, _taylor_shift(taylor, -s))]
+            pieces.append(Polynomial([Fraction(c * scale ** k, den) for k, c in enumerate(run)]))
+        return PiecewisePoly([Fraction(s, scale) for s in cuts], pieces)
 
     # ------------------------------------------------------------------
     # serialization

@@ -91,7 +91,6 @@ class IterationRecord(NamedTuple):
     sup_step: float
     a: float          # K(0) - K(1) of the iterate that produced this one
     b: float          # K(1)
-    coefficients: Optional[dict]  # exact mode: JSON dict of the new iterate
 
 
 @dataclass(frozen=True)
@@ -179,22 +178,16 @@ def iterate_once(f: Density, n: int = 2, p: float = 2.0, general: bool = False) 
     return _step_grid(f, n, p, general)[0]
 
 
-def _sup_diff(f: Density, g: Density, dx: float) -> float:
-    if isinstance(f, PiecewisePoly):
-        fs, gs = _grid.sample(f, dx), _grid.sample(g, dx)
-        m = min(len(fs), len(gs))
-        return float(np.max(np.abs(fs.values[:m] - gs.values[:m])))
-    return float(np.max(np.abs(f.values - g.values)))
+def _sup_diff(fs: GridFunction, gs: GridFunction) -> float:
+    m = min(len(fs), len(gs))
+    return float(np.max(np.abs(fs.values[:m] - gs.values[:m])))
 
 
-def _affine_residual_sup(f: Density, a: float, b: float, dx: float) -> float:
-    """sup over [-1, 1] nodes of |K - a f - b| with K the triple self
-    convolution of f, evaluated on the grid."""
-    fg = f if isinstance(f, GridFunction) else _grid.sample(f, dx)
-    K = _grid.self_convolution_grid(fg, 3)
-    i_lo, i_hi = K.node_index(float(fg.x0)), K.node_index(float(fg.x_end))
-    resid = K.values[i_lo:i_hi + 1] - a * fg.values - b
-    return float(np.max(np.abs(resid)))
+def _affine_residual_sup(fs: GridFunction, K: GridFunction, a, b, p: float) -> float:
+    """sup over the nodes of fs of |K - a fs^(p-1) - b|: the fixed-point
+    equation of the update whose kernel K gave a and b."""
+    i_lo, i_hi = K.node_index(fs.x0), K.node_index(fs.x_end)
+    return float(np.max(np.abs(K.values[i_lo:i_hi + 1] - a * fs.values ** (p - 1.0) - b)))
 
 
 def run_fixed_point(config: SolverConfig) -> FixedPointSolution:
@@ -207,6 +200,9 @@ def run_fixed_point(config: SolverConfig) -> FixedPointSolution:
     skips iterating and reports the affine fit at f_0 itself.
     """
     f = initial_iterate(config)
+    exact = config.mode == "exact"
+    # exact iterates are compared on the grid; each is sampled once
+    fs = _grid.sample(f, config.dx) if exact else f
     max_iter = config.resolved_max_iter()
     records = []
     clip_any = False
@@ -215,32 +211,33 @@ def run_fixed_point(config: SolverConfig) -> FixedPointSolution:
     converged = max_iter == 0
 
     for j in range(1, max_iter + 1):
-        if config.mode == "exact":
+        if exact:
             g, k0, k1, clipped = _step_exact(f)
-            rec_coeffs = g.to_json_dict()
+            gs = _grid.sample(g, config.dx)
         else:
             g, k0, k1, clipped = _step_grid(f, config.n, config.p, config.general_update)
-            rec_coeffs = None
+            gs = g
         clip_any = clip_any or clipped
-        sup_step = _sup_diff(f, g, config.dx)
-        records.append(IterationRecord(j, sup_step, float(k0 - k1), float(k1), rec_coeffs))
-        f = g
+        sup_step = _sup_diff(fs, gs)
+        records.append(IterationRecord(j, sup_step, float(k0 - k1), float(k1)))
+        f, fs = g, gs
         iterations = j
-        if config.mode == "grid" and sup_step < config.tol:
+        if not exact and sup_step < config.tol:
             converged = True
             break
     else:
-        converged = converged or config.mode == "exact"
+        converged = converged or exact
 
-    # affine fit at the final iterate
-    if config.mode == "exact":
+    # affine fit at the final iterate; the exact lane's residual is
+    # measured on the grid, against the triple convolution of the samples
+    if exact:
         K = self_convolution(f, 3)
         a, b = K.eval(0) - K.eval(1), K.eval(1)
+        el_sup = _affine_residual_sup(fs, _grid.self_convolution_grid(fs, 3), a, b, 2)
     else:
         K = _kernel_grid(f, config.n, config.p, config.general_update)
         a, b = K.value_at(0.0) - K.value_at(1.0), K.value_at(1.0)
-
-    el_sup = _affine_residual_sup(f, a, b, config.dx)
+        el_sup = _affine_residual_sup(f, K, a, b, config.p)
     solution = FixedPointSolution(
         f=f,
         a=a,

@@ -20,6 +20,29 @@ def indicator(lo=-1, hi=1, height=1):
     return PiecewisePoly.indicator(lo, hi, height)
 
 
+def rand_fraction(rng, num=9, den=9):
+    return Fraction(int(rng.integers(-num, num + 1)), int(rng.integers(1, den + 1)))
+
+
+def rand_piecewise(rng):
+    """Up to four pieces of degree <= 3, generally discontinuous, on
+    breakpoints with denominators 1..12; a quarter of the pieces are zero."""
+    bps = set()
+    while len(bps) < 2:
+        bps = {rand_fraction(rng, 24, 12) for _ in range(int(rng.integers(2, 6)))}
+    pieces = [Polynomial([] if rng.random() < 0.25 else
+                         [rand_fraction(rng) for _ in range(int(rng.integers(1, 5)))])
+              for _ in range(len(bps) - 1)]
+    return PiecewisePoly(sorted(bps), pieces)
+
+
+def fraction_horner(p, x):
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
 class TestPolynomial:
     def test_evaluation_is_horner_exact(self):
         p = Polynomial([Fraction(1, 3), 0, Fraction(-2, 7)])
@@ -53,6 +76,14 @@ class TestPolynomial:
     def test_degree_of_zero(self):
         assert Polynomial([0, 0]).degree == -1
         assert Polynomial([0, 0]).is_zero
+
+    def test_integer_horner_matches_fraction_horner(self, rng, trials):
+        lo, dx, nodes = -1.0, 1e-3, 2000
+        for _ in range(trials):
+            p = Polynomial([rand_fraction(rng, 10**6, 10**4) for _ in range(int(rng.integers(0, 40)))])
+            for k in rng.integers(0, nodes + 1, size=3).tolist():
+                for x in (Fraction(lo + k * dx), Fraction(k, nodes // 2) - 1):
+                    assert p(x) == fraction_horner(p, x)
 
 
 class TestPiecewisePolyBasics:
@@ -200,6 +231,16 @@ class TestConvolution:
         )
         assert K.eval(0) == Fraction(47, 40)
         assert K.eval(1) == Fraction(176, 315)
+
+    def test_pointwise_oracle_by_reflect_translate(self, rng, trials):
+        # (f * g)(x) = int f(t) g(x - t) dt, with g(x - t) as a function of t
+        # built by reflect and translate: no convolution code involved
+        for _ in range(trials):
+            f, g = rand_piecewise(rng), rand_piecewise(rng)
+            h, gr = f.convolve(g), g.reflect()
+            sums = sorted({a + b for a in f.breakpoints for b in g.breakpoints})
+            for x in sums + [(lo + hi) / 2 for lo, hi in zip(sums, sums[1:])]:
+                assert h.eval(x) == (f * gr.translate(x)).integral_all()
 
     def test_with_reflection_adjoint(self):
         # int f (T(g) * h) == int (f * g) h for compact supports
