@@ -4,7 +4,6 @@ over densities with unit mass and prescribed L^p mass.
 """
 
 from .piecewise import (
-    BreakpointDerivative,
     NegativeDensity,
     PiecewisePoly,
     Polynomial,
@@ -15,7 +14,6 @@ from .piecewise import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BreakpointDerivative",
     "NegativeDensity",
     "PiecewisePoly",
     "Polynomial",

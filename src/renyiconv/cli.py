@@ -30,22 +30,19 @@ from . import __version__
 from . import grid as _grid
 from .entropy import (
     ConstraintSet,
-    DegenerateDensity,
-    NoBracket,
-    ZeroMass,
     exact_gengauss_p2_for_lp_mass,
     gengauss,
     gengauss_for_lp_mass,
     objective_I,
-    renyi_entropy,
     scale_to_feasible,
 )
-from .euler_lagrange import InfeasibleInput, counterexample_check, el_residual, estimate_x6_grid
+from .euler_lagrange import counterexample_check, el_residual, estimate_x6_grid
 from .grid import GridFunction
 from .piecewise import PiecewisePoly, format_rational
-from .solver import NotConverged, SolverConfig, initial_iterate, iterate_once, run_fixed_point
+from .solver import NotConverged, SolverConfig, initial_iterate, iterations, run_fixed_point
 
 PLOT_NODES = 2001  # samples on [-1, 1] for plot CSVs
+PLOT_XS = np.linspace(-1.0, 1.0, PLOT_NODES)
 
 
 def _atomic_write_text(path: str, text: str) -> None:
@@ -84,10 +81,6 @@ def _config_echo(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _plot_csv_path(out_dir: str, name: str) -> str:
-    return os.path.join(out_dir, name)
-
-
 def _write_plot_csv(path: str, xs: np.ndarray, vals: np.ndarray) -> None:
     lines = ["x,value"]
     for x, v in zip(xs, vals):
@@ -95,16 +88,14 @@ def _write_plot_csv(path: str, xs: np.ndarray, vals: np.ndarray) -> None:
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _sample_exact_on_unit(f: PiecewisePoly) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.linspace(-1.0, 1.0, PLOT_NODES)
-    vals = np.array([float(f.eval(Fraction(k, (PLOT_NODES - 1) // 2) - 1)) for k in range(PLOT_NODES)])
-    return xs, vals
+def _sample_exact_on_unit(f: PiecewisePoly) -> GridFunction:
+    """f at the rational plot nodes k/1000 - 1, each rounded once."""
+    half = (PLOT_NODES - 1) // 2
+    return GridFunction(-1.0, 1.0 / half, [float(f.eval(Fraction(k, half) - 1)) for k in range(PLOT_NODES)])
 
 
-def _sample_grid_on_unit(g: GridFunction) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.linspace(-1.0, 1.0, PLOT_NODES)
-    vals = np.interp(xs, g.nodes, g.values, left=0.0, right=0.0)
-    return xs, vals
+def _sample_grid_on_unit(g: GridFunction) -> np.ndarray:
+    return np.interp(PLOT_XS, g.nodes, g.values, left=0.0, right=0.0)
 
 
 def _exact_iterate_json(j: int, f: PiecewisePoly) -> dict:
@@ -119,43 +110,30 @@ def _exact_iterate_json(j: int, f: PiecewisePoly) -> dict:
 
 def cmd_iterate(args: argparse.Namespace) -> int:
     if args.steps < 0:
-        print("error: --steps must be nonnegative", file=sys.stderr)
-        return 2
+        raise ValueError("--steps must be nonnegative")
+    exact = args.mode == "exact"
+    f = initial_iterate(SolverConfig(mode="exact") if exact else SolverConfig(mode="grid", dx=args.dx))
+    # exact iterates are compared and plotted at the rational plot nodes;
+    # grid iterates are compared node by node and interpolated for the plot
+    sample = _sample_exact_on_unit if exact else (lambda g: g)
+    fs = sample(f)
     out = args.out
     os.makedirs(out, exist_ok=True)
     outputs: list[str] = []
     step_log: list[dict] = []
 
-    if args.mode == "exact":
-        f: PiecewisePoly = initial_iterate(SolverConfig(mode="exact"))
-        prev_vals = None
-        for j in range(args.steps + 1):
-            if j > 0:
-                f = iterate_once(f)
-            jname = f"f{j}.json"
-            _write_json(os.path.join(out, jname), _exact_iterate_json(j, f))
-            cname = f"f{j}.csv"
-            xs, vals = _sample_exact_on_unit(f)
-            _write_plot_csv(_plot_csv_path(out, cname), xs, vals)
-            outputs += [jname, cname]
-            if j > 0:
-                sup_step = float(np.max(np.abs(vals - prev_vals)))
-                step_log.append({"step": j, "sup_step": f"{sup_step:.17g}"})
-            prev_vals = vals
-    else:
-        g: GridFunction = initial_iterate(SolverConfig(mode="grid", dx=args.dx))
-        grids = [g]
-        for j in range(1, args.steps + 1):
-            g_new = iterate_once(g)
-            sup_step = float(np.max(np.abs(g_new.values - g.values)))
-            step_log.append({"step": j, "sup_step": f"{sup_step:.17g}"})
-            g = g_new
-            grids.append(g)
-        for j, gj in enumerate(grids):
-            cname = f"f{j}.csv"
-            xs, vals = _sample_grid_on_unit(gj)
-            _write_plot_csv(_plot_csv_path(out, cname), xs, vals)
-            outputs.append(cname)
+    def write_iterate(j: int, f, fs: GridFunction) -> None:
+        if exact:
+            _write_json(os.path.join(out, f"f{j}.json"), _exact_iterate_json(j, f))
+            outputs.append(f"f{j}.json")
+        vals = fs.values if exact else _sample_grid_on_unit(f)
+        _write_plot_csv(os.path.join(out, f"f{j}.csv"), PLOT_XS, vals)
+        outputs.append(f"f{j}.csv")
+
+    write_iterate(0, f, fs)
+    for record, f, fs in iterations(f, fs, sample, args.steps):
+        step_log.append({"step": record.iteration, "sup_step": f"{record.sup_step:.17g}"})
+        write_iterate(record.iteration, f, fs)
 
     _write_json(os.path.join(out, "steps.json"), step_log)
     outputs.append("steps.json")
@@ -173,7 +151,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         max_iter=args.max_iter,
         tol=args.tol,
         dx=args.dx,
-        general_update=(args.n, args.p) != (2, 2.0),
     )
     exit_code = 0
     try:
@@ -195,10 +172,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     }
     _write_json(os.path.join(out, "solution.json"), doc)
     if args.mode == "exact":
-        xs, vals = _sample_exact_on_unit(sol.f)
+        vals = _sample_exact_on_unit(sol.f).values
     else:
-        xs, vals = _sample_grid_on_unit(sol.f)
-    _write_plot_csv(os.path.join(out, "solution.csv"), xs, vals)
+        vals = _sample_grid_on_unit(sol.f)
+    _write_plot_csv(os.path.join(out, "solution.csv"), PLOT_XS, vals)
     _write_json(os.path.join(out, "history.json"),
                 [{"step": r.iteration, "sup_step": f"{r.sup_step:.17g}"} for r in sol.history])
     _write_manifest(out, "solve", _config_echo(args),
@@ -214,11 +191,7 @@ def cmd_el_residual(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return 2
-    try:
-        rep = el_residual(q, args.n, args.p, args.M)
-    except (InfeasibleInput, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rep = el_residual(q, args.n, args.p, args.M)
     _write_json(os.path.join(out, "el_residual.json"), rep.to_json_dict())
     _write_manifest(out, "el-residual", _config_echo(args), ["el_residual.json"])
     return 0
@@ -241,14 +214,11 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
 def cmd_gengauss(args: argparse.Namespace) -> int:
     out = args.out
     os.makedirs(out, exist_ok=True)
-    try:
-        if args.M is not None:
-            gg = gengauss_for_lp_mass(args.M, args.p)
-        else:
-            gg = gengauss(args.beta, args.p)
-    except (ValueError, NoBracket) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.M is not None:
+        gg = gengauss_for_lp_mass(args.M, args.p)
+    else:
+        gg = gengauss(args.beta, args.p)
+    gq = gg.to_grid(args.dx)
     half = 1.0 / math.sqrt(gg.beta)
     doc = {
         "p": f"{gg.p:.17g}",
@@ -259,7 +229,6 @@ def cmd_gengauss(args: argparse.Namespace) -> int:
         "renyi_entropy": f"{gg.renyi_entropy():.17g}",
     }
     _write_json(os.path.join(out, "gengauss.json"), doc)
-    gq = gg.to_grid(args.dx)
     _write_plot_csv(os.path.join(out, "gengauss.csv"), gq.nodes, gq.values)
     _write_manifest(out, "gengauss", _config_echo(args), ["gengauss.json", "gengauss.csv"])
     return 0
@@ -269,10 +238,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     out = args.out
     os.makedirs(out, exist_ok=True)
     n, p = args.n, args.p
-    config = SolverConfig(
-        mode="grid", n=n, p=p, dx=args.dx, tol=args.tol,
-        general_update=(n, p) != (2, 2.0),
-    )
+    config = SolverConfig(mode="grid", n=n, p=p, dx=args.dx, tol=args.tol)
     try:
         sol = run_fixed_point(config)
     except NotConverged as exc:
@@ -385,7 +351,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ZeroMass, DegenerateDensity, InfeasibleInput) as exc:
+    except ValueError as exc:
+        # invalid flag values and unusable input; the library's input
+        # errors (ZeroMass, InfeasibleInput, ...) all subclass ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -33,10 +33,6 @@ class ZeroMass(ValueError):
     """Raised when a normalization needs ||f||_1 > 0 but the mass is 0."""
 
 
-class NoBracket(ValueError):
-    """Raised when a scalar solve cannot bracket its target."""
-
-
 @dataclass(frozen=True)
 class ConstraintSet:
     """Feasibility data: ||f||_1 = 1 and ||f||_p^p = M, objective uses C_n."""
@@ -91,11 +87,6 @@ def renyi_entropy(f: Density, p) -> float:
         raise DegenerateDensity("integral of f^p is zero")
     log_ip = _log_fraction(ip) if isinstance(ip, Fraction) else math.log(ip)
     return -log_ip / (float(p) - 1)
-
-
-def entropy_power(f: Density, p) -> float:
-    """N_p = exp(2 h_p) (d = 1)."""
-    return math.exp(2.0 * renyi_entropy(f, p))
 
 
 def objective_I(f: Density, n: int, p) -> Union[Fraction, float]:
@@ -228,6 +219,8 @@ class GeneralizedGaussian:
         return self.alpha * u ** self.q
 
     def to_grid(self, dx: float, padding: float = 0.0) -> GridFunction:
+        if not dx > 0:
+            raise ValueError("dx must be positive")
         half = self.beta ** -0.5 + padding
         n = max(2, int(math.ceil(half / dx - 1e-9)))
         xs = dx * np.arange(-n, n + 1)
@@ -255,32 +248,6 @@ def gengauss(beta: float, p: float) -> GeneralizedGaussian:
     q = 1.0 / (p - 1.0)
     alpha = math.exp(0.5 * math.log(beta) - _log_beta_half(q + 1.0))
     return GeneralizedGaussian(beta=beta, p=p, alpha=alpha)
-
-
-def gengauss_beta_for_entropy(h_target: float, p: float, tol: float = 1e-12) -> GeneralizedGaussian:
-    """Solve h_p(G_{beta,p}) = h_target for beta by bisection on log beta.
-
-    h_p is strictly decreasing in beta (dilation shifts entropy by
-    -(1/2) log beta), so bisection on [1e-300, 1e300] is monotone.
-    """
-    lo, hi = math.log(1e-300), math.log(1e300)
-
-    def h(logb: float) -> float:
-        return gengauss(math.exp(logb), p).renyi_entropy()
-
-    h_lo, h_hi = h(lo), h(hi)
-    # decreasing: h(lo) is the largest achievable entropy
-    if not (h_hi <= h_target <= h_lo):
-        raise NoBracket(f"entropy {h_target} outside achievable range [{h_hi}, {h_lo}]")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if h(mid) >= h_target:
-            lo = mid
-        else:
-            hi = mid
-        if abs(h(lo) - h_target) <= tol:
-            break
-    return gengauss(math.exp(lo), p)
 
 
 def gengauss_for_lp_mass(M: float, p: float) -> GeneralizedGaussian:

@@ -195,6 +195,8 @@ def estimate_x6_grid(dx: float = 1e-4, stencil_step: float = 0.05) -> float:
     with step stencil_step (a multiple of dx, wide enough that the h^6
     in the denominator does not amplify rounding noise).
     """
+    if not dx > 0:
+        raise ValueError("dx must be positive")
     ratio = stencil_step / dx
     k = round(ratio)
     if abs(ratio - k) > 1e-9 or k < 1:

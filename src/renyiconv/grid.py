@@ -217,17 +217,9 @@ def rearrange_symmetric_decreasing(f: GridFunction) -> GridFunction:
     return f.with_values(out)
 
 
-def write_csv(f: GridFunction, path) -> None:
-    """Write two-column CSV `x,value` with full float precision."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "value"])
-        for x, v in zip(f.nodes, f.values):
-            writer.writerow([f"{x:.17g}", f"{v:.17g}"])
-
-
 def read_csv(path) -> GridFunction:
-    """Read the CSV written by write_csv; validates uniform spacing."""
+    """Read a two-column `x,value` CSV, as the CLI writes; validates
+    uniform spacing."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)

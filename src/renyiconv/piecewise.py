@@ -22,10 +22,6 @@ from typing import Iterable, Iterator, Union
 RationalLike = Union[Fraction, int, str]
 
 
-class BreakpointDerivative(ValueError):
-    """Raised when a pointwise derivative is requested at a breakpoint."""
-
-
 class NegativeDensity(ValueError):
     """Raised when an operation requiring a nonnegative function detects a
     negative value."""
@@ -388,13 +384,6 @@ class PiecewisePoly:
         """Piecewise formal derivative (no distributional terms at jumps)."""
         return PiecewisePoly(self.breakpoints, [p.derivative(order) for p in self.pieces])
 
-    def derivative_at(self, x: RationalLike, order: int = 1) -> Fraction:
-        """Derivative of the containing piece at x, which must not be a breakpoint."""
-        x = as_fraction(x)
-        if x in self.breakpoints:
-            raise BreakpointDerivative(f"x = {x} is a breakpoint")
-        return self._poly_at(x).derivative(order)(x)
-
     def integral(self, lo: RationalLike, hi: RationalLike) -> Fraction:
         """Exact definite integral over [lo, hi]."""
         lo, hi = as_fraction(lo), as_fraction(hi)
@@ -410,15 +399,6 @@ class PiecewisePoly:
     def integral_all(self) -> Fraction:
         """Integral over the whole support."""
         return self.integral(*self.support)
-
-    def primitive(self) -> "PiecewisePoly":
-        """Continuous primitive on the support, zero at the left edge."""
-        pieces, acc = [], Fraction(0)
-        for a, b, p in self.intervals():
-            prim = p.antiderivative()
-            pieces.append(prim + Polynomial([acc - prim(a)]))
-            acc += p.integrate(a, b)
-        return PiecewisePoly(self.breakpoints, pieces)
 
     def assert_nonnegative(self, samples: int = 64, bisect_steps: int = 30) -> None:
         """Check f >= 0 on the support; raise NegativeDensity otherwise.

@@ -7,25 +7,28 @@ restricts to [-1, 1] and takes the positive part:
     f_new = ((K - K(1)) / (K(0) - K(1)))_+  on [-1, 1].
 
 Exact mode runs over rational piecewise polynomials (the n = 2, p = 2
-case); grid mode runs the same update on sampled functions and also
-offers, behind an explicit flag, the analogous update for general (n, p)
-built from the first-variation kernel T(C_{n-1}(f)) * (C_n(f))^(p-1).
-That generalization is a plausible extension, not an established scheme;
-outputs from it are labeled by the flag that produced them.
+case); grid mode runs the same update on sampled functions and, for
+(n, p) other than (2, 2), the analogous update built from the
+first-variation kernel T(C_{n-1}(f)) * (C_n(f))^(p-1), whose fixed point
+satisfies K = a f^(p-1) + b.  That generalization is a plausible
+extension, not an established scheme.
+
+iterate_once is the single update step and iterations the single loop;
+run_fixed_point and the CLI both consume the loop.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
 from . import grid as _grid
 from .entropy import ConstraintSet, objective_I, scale_to_feasible
+from .euler_lagrange import stationarity_kernel
 from .grid import GridFunction
-from .piecewise import NegativeDensity, PiecewisePoly, self_convolution
+from .piecewise import PiecewisePoly, self_convolution
 
 Density = Union[PiecewisePoly, GridFunction]
 
@@ -56,9 +59,6 @@ class SolverConfig:
     max_iter: Optional[int] = None
     tol: float = 1e-10
     dx: float = 1e-3
-    # grid-only generalized update from the first-variation kernel;
-    # off by default because only the n = 2, p = 2 update is established
-    general_update: bool = False
 
     def __post_init__(self):
         if self.mode not in ("exact", "grid"):
@@ -73,12 +73,8 @@ class SolverConfig:
             raise ValueError("dx must be positive")
         if self.max_iter is not None and self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
-        if self.mode == "exact" and (self.p != 2 or self.n != 2):
+        if self.mode == "exact" and (self.n, self.p) != (2, 2):
             raise ValueError("exact mode supports only n = 2, p = 2")
-        if self.general_update and self.mode != "grid":
-            raise ValueError("the generalized update is grid-only")
-        if not self.general_update and (self.n != 2 or self.p != 2):
-            raise ValueError("n != 2 or p != 2 requires general_update=True")
 
     def resolved_max_iter(self) -> int:
         if self.max_iter is not None:
@@ -86,11 +82,19 @@ class SolverConfig:
         return 4 if self.mode == "exact" else 200
 
 
+class Step(NamedTuple):
+    f: Density        # the new iterate
+    a: Union[Fraction, float]  # K(0) - K(1) of the kernel of the old iterate
+    b: Union[Fraction, float]  # K(1)
+    clipped: bool     # the positive part removed a negative value
+
+
 class IterationRecord(NamedTuple):
     iteration: int
     sup_step: float
     a: float          # K(0) - K(1) of the iterate that produced this one
     b: float          # K(1)
+    clipped: bool
 
 
 @dataclass(frozen=True)
@@ -126,56 +130,62 @@ def _check_unit_support(f: Density) -> None:
             raise ValueError("iterate must be supported in [-1, 1]")
 
 
-def _kernel_grid(f: GridFunction, n: int, p: float, general: bool) -> GridFunction:
-    """The update kernel K: triple self convolution, or the general
-    first-variation kernel T(C_{n-1}(f)) * (C_n(f))^(p-1)."""
-    if not general:
+def _kernel_of(f: GridFunction, n: int, p: float) -> GridFunction:
+    """The update kernel on the grid: f*f*f for (n, p) = (2, 2), else the
+    first-variation kernel."""
+    if (n, p) == (2, 2):
         return _grid.self_convolution_grid(f, 3)
-    cn1 = _grid.self_convolution_grid(f, n - 1) if n > 2 else f
-    cn = _grid.convolve_grid(cn1, f)
-    return _grid.convolve_grid(_grid.reflect(cn1), _grid.power_real(cn, p - 1.0))
+    return stationarity_kernel(f, n, p)
 
 
-def _step_exact(f: PiecewisePoly) -> tuple[PiecewisePoly, Fraction, Fraction, bool]:
-    K = self_convolution(f, 3)
-    k0, k1 = K.eval(0), K.eval(1)
+def iterate_once(f: Density, n: int = 2, p: float = 2.0) -> Step:
+    """One fixed-point update; input must be supported in [-1, 1].
+
+    Exact input supports only (n, p) = (2, 2).  There the affine
+    renormalization must already be nonnegative: exact mode cannot
+    represent the positive part across an irrational zero crossing, so a
+    negative dip raises NegativeDensity rather than being clipped.
+    """
+    _check_unit_support(f)
+    exact = isinstance(f, PiecewisePoly)
+    if exact:
+        if (n, p) != (2, 2):
+            raise ValueError("exact iteration supports only n = 2, p = 2")
+        K = self_convolution(f, 3)
+        k0, k1 = K.eval(0), K.eval(1)
+    else:
+        K = _kernel_of(f, n, p)
+        if np.array_equal(f.values, f.values[::-1]):
+            # even input makes K even in exact arithmetic; fold out roundoff
+            K = K.with_values(0.5 * (K.values + K.values[::-1]))
+        k0, k1 = K.value_at(0.0), K.value_at(1.0)
     if k0 == k1:
         raise DegenerateNormalizer("K(0) = K(1)")
-    g = (K.restrict(-1, 1) - PiecewisePoly.indicator(-1, 1, k1)) * (1 / (k0 - k1))
-    # the affine renormalization must already be nonnegative here: exact
-    # mode has no way to represent the positive part across an irrational
-    # zero crossing, so a negative dip is an error rather than a clip
-    g.assert_nonnegative()
-    return g, k0, k1, False
-
-
-def _step_grid(f: GridFunction, n: int, p: float, general: bool) -> tuple[GridFunction, float, float, bool]:
-    K = _kernel_grid(f, n, p, general)
-    if np.array_equal(f.values, f.values[::-1]):
-        # even input makes K even in exact arithmetic; fold out roundoff
-        K = K.with_values(0.5 * (K.values + K.values[::-1]))
-    k0, k1 = K.value_at(0.0), K.value_at(1.0)
-    if k0 == k1:
-        raise DegenerateNormalizer("K(0) = K(1)")
+    if exact:
+        g = (K.restrict(-1, 1) - PiecewisePoly.indicator(-1, 1, k1)) * (1 / (k0 - k1))
+        g.assert_nonnegative()
+        return Step(g, k0 - k1, k1, False)
     i_lo, i_hi = K.node_index(-1.0), K.node_index(1.0)
     raw = (K.values[i_lo:i_hi + 1] - k1) / (k0 - k1)
-    clipped = bool(raw.min() < 0)
     vals = np.maximum(raw, 0.0)
-    if general and p != 2:
+    if p != 2:
         vals = vals ** (1.0 / (p - 1.0))
-    return GridFunction(-1.0, f.dx, vals), k0, k1, clipped
+    return Step(GridFunction(-1.0, f.dx, vals), k0 - k1, k1, bool(raw.min() < 0))
 
 
-def iterate_once(f: Density, n: int = 2, p: float = 2.0, general: bool = False) -> Density:
-    """One fixed-point update; input must be supported in [-1, 1]."""
-    _check_unit_support(f)
-    if isinstance(f, PiecewisePoly):
-        if general or n != 2 or p != 2:
-            raise ValueError("exact iteration supports only n = 2, p = 2")
-        return _step_exact(f)[0]
-    if (n != 2 or p != 2) and not general:
-        raise ValueError("n != 2 or p != 2 requires general=True")
-    return _step_grid(f, n, p, general)[0]
+def iterations(f: Density, fs: GridFunction, sample: Callable[[Density], GridFunction],
+               steps: int, n: int = 2, p: float = 2.0) -> Iterator[tuple[IterationRecord, Density, GridFunction]]:
+    """Run up to `steps` updates from f, yielding (record, iterate, samples).
+
+    fs is f as sampled by the caller's sample(), the same map that is
+    applied once to every new iterate; the record's sup_step is the
+    sup-norm difference of consecutive samples.
+    """
+    for j in range(1, steps + 1):
+        g, a, b, clipped = iterate_once(f, n, p)
+        gs = sample(g)
+        yield IterationRecord(j, _sup_diff(fs, gs), float(a), float(b), clipped), g, gs
+        f, fs = g, gs
 
 
 def _sup_diff(fs: GridFunction, gs: GridFunction) -> float:
@@ -199,34 +209,22 @@ def run_fixed_point(config: SolverConfig) -> FixedPointSolution:
     the last state attached) if max_iter runs out first; max_iter = 0
     skips iterating and reports the affine fit at f_0 itself.
     """
-    f = initial_iterate(config)
     exact = config.mode == "exact"
-    # exact iterates are compared on the grid; each is sampled once
-    fs = _grid.sample(f, config.dx) if exact else f
+
+    def sample(g: Density) -> GridFunction:
+        # exact iterates are compared on the grid; each is sampled once
+        return _grid.sample(g, config.dx) if exact else g
+
+    f = initial_iterate(config)
+    fs = sample(f)
     max_iter = config.resolved_max_iter()
     records = []
-    clip_any = False
-    sup_step = math.inf
-    iterations = 0
-    converged = max_iter == 0
-
-    for j in range(1, max_iter + 1):
-        if exact:
-            g, k0, k1, clipped = _step_exact(f)
-            gs = _grid.sample(g, config.dx)
-        else:
-            g, k0, k1, clipped = _step_grid(f, config.n, config.p, config.general_update)
-            gs = g
-        clip_any = clip_any or clipped
-        sup_step = _sup_diff(fs, gs)
-        records.append(IterationRecord(j, sup_step, float(k0 - k1), float(k1)))
-        f, fs = g, gs
-        iterations = j
-        if not exact and sup_step < config.tol:
+    converged = exact or max_iter == 0
+    for record, f, fs in iterations(f, fs, sample, max_iter, config.n, config.p):
+        records.append(record)
+        if not exact and record.sup_step < config.tol:
             converged = True
             break
-    else:
-        converged = converged or exact
 
     # affine fit at the final iterate; the exact lane's residual is
     # measured on the grid, against the triple convolution of the samples
@@ -235,22 +233,23 @@ def run_fixed_point(config: SolverConfig) -> FixedPointSolution:
         a, b = K.eval(0) - K.eval(1), K.eval(1)
         el_sup = _affine_residual_sup(fs, _grid.self_convolution_grid(fs, 3), a, b, 2)
     else:
-        K = _kernel_grid(f, config.n, config.p, config.general_update)
+        K = _kernel_of(f, config.n, config.p)
         a, b = K.value_at(0.0) - K.value_at(1.0), K.value_at(1.0)
         el_sup = _affine_residual_sup(f, K, a, b, config.p)
+    sup_step = records[-1].sup_step if records else 0.0
     solution = FixedPointSolution(
         f=f,
         a=a,
         b=b,
-        iterations=iterations,
-        final_step_sup=0.0 if max_iter == 0 else sup_step,
+        iterations=len(records),
+        final_step_sup=sup_step,
         el_residual_sup=el_sup,
         history=tuple(records),
-        clip_was_active=clip_any,
+        clip_was_active=any(r.clipped for r in records),
     )
     if not converged:
         raise NotConverged(
-            f"no convergence after {iterations} iterations (last step {sup_step:.3e})",
+            f"no convergence after {len(records)} iterations (last step {sup_step:.3e})",
             solution,
         )
     return solution

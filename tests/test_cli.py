@@ -1,12 +1,17 @@
 """Command line behavior: outputs, manifests, exit codes, reproducibility."""
+import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import renyiconv
 from renyiconv import cli
 from renyiconv.grid import read_csv
+from renyiconv.solver import SolverConfig, initial_iterate, iterate_once
 
 
 def run(argv):
@@ -16,6 +21,56 @@ def run(argv):
 def load(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+class TestExactBytes:
+    """sha256 of exact-lane outputs, recorded before iterate and solve
+    shared one iteration loop.  Every value in these files is an exact
+    rational or a correctly rounded float of one, so the digests do not
+    depend on FFT roundoff or the platform."""
+
+    def test_iterate_exact_steps_3(self, tmp_path):
+        out = str(tmp_path / "o")
+        assert run(["iterate", "--mode", "exact", "--steps", "3", "--out", out]) == 0
+        assert sha256(os.path.join(out, "steps.json")) == \
+            "44b99f50d9df2b3ad6c1fcf0008bf326a2ff17293e8ed01b7ca4e503ba4ae73c"
+        assert sha256(os.path.join(out, "f3.json")) == \
+            "bc08238853fb2061a34a8366c2e40f123b054038f34bc11d6e5eebd00c72f186"
+        assert sha256(os.path.join(out, "f3.csv")) == \
+            "14fe0dcf017daacb66131b37f45badd2f2e002865103b4ebc7bc99e7671433fc"
+
+    def test_solve_exact_max_iter_3(self, tmp_path):
+        out = str(tmp_path / "o")
+        assert run(["solve", "--mode", "exact", "--max-iter", "3", "--out", out]) == 0
+        assert sha256(os.path.join(out, "history.json")) == \
+            "1741aa533ced5280b46d847bc90bd3d775c13c5003d3c23e0b377d8cf036ed5c"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--tol", "0"],
+    ["solve", "--dx", "0.3"],
+    ["solve", "--max-iter", "-1"],
+    ["solve", "--n", "1"],
+    ["solve", "--mode", "exact", "--n", "3"],
+    ["compare", "--p", "1"],
+    ["iterate", "--mode", "grid", "--dx", "0.3"],
+    ["counterexample", "--grid-check", "--dx", "0.03"],
+    ["gengauss", "--dx", "0"],
+], ids=" ".join)
+def test_invalid_flag_values_exit_2(tmp_path, argv):
+    # run as a process, as a user would, so a traceback would be visible
+    src = os.path.dirname(os.path.dirname(os.path.abspath(renyiconv.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "renyiconv.cli", *argv, "--out", str(tmp_path / "o")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert any(line.startswith("error: ") for line in proc.stderr.splitlines())
+    assert "Traceback" not in proc.stderr
 
 
 class TestIterate:
@@ -189,6 +244,17 @@ class TestMisc:
         run(["iterate", "--mode", "grid", "--steps", "1",
              "--dx", "0.001", "--out", out])
         g = read_csv(os.path.join(out, "f1.csv"))
-        h = read_csv(os.path.join(out, "f1.csv"))
-        assert np.array_equal(g.values, h.values)
+        f1 = iterate_once(initial_iterate(SolverConfig(mode="grid", dx=1e-3))).f
+        # the plot nodes are the iterate's own nodes at dx = 1e-3
+        np.testing.assert_allclose(g.values, f1.values, rtol=0, atol=1e-12)
         assert g.x0 == -1.0 and g.x_end == 1.0
+
+    def test_failed_rename_leaves_no_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        path = tmp_path / "g.csv"
+        with pytest.raises(OSError):
+            cli._write_plot_csv(str(path), np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+        assert os.listdir(tmp_path) == []

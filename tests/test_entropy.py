@@ -9,13 +9,10 @@ from renyiconv.entropy import (
     ConstraintSet,
     DegenerateDensity,
     GeneralizedGaussian,
-    NoBracket,
     ZeroMass,
-    entropy_power,
     exact_gengauss_p2,
     exact_gengauss_p2_for_lp_mass,
     gengauss,
-    gengauss_beta_for_entropy,
     gengauss_for_lp_mass,
     lp_mass,
     objective_I,
@@ -63,11 +60,6 @@ class TestEntropyFunctionals:
     def test_uniform_half_width_has_zero_entropy(self):
         f = PiecewisePoly.indicator(Fraction(-1, 2), Fraction(1, 2), 1)
         assert abs(renyi_entropy(f, 2.0)) < 1e-12
-
-    def test_entropy_power_relation(self):
-        f = PiecewisePoly.indicator(-1, 1, Fraction(1, 2))
-        h = renyi_entropy(f, 2.0)
-        assert entropy_power(f, 2.0) == pytest.approx(math.exp(2 * h), rel=1e-12)
 
     def test_lp_mass_exact_vs_grid(self):
         f = PiecewisePoly.single(Polynomial([Fraction(3, 4), 0, Fraction(-3, 4)]), -1, 1)
@@ -167,12 +159,6 @@ class TestGeneralizedGaussian:
         gg = gengauss(1.5, 2.5)
         g = gg.to_grid(1e-4)
         assert lp_norm_real(g, 2.5) == pytest.approx(gg.lp_mass(2.5), rel=1e-6)
-
-    def test_beta_for_entropy_round_trip(self):
-        for beta in (0.3, 1.0, 7.5):
-            h = gengauss(beta, 2.0).renyi_entropy()
-            gg2 = gengauss_beta_for_entropy(h, 2.0)
-            assert gg2.beta == pytest.approx(beta, rel=1e-9)
 
     def test_for_lp_mass(self):
         gg = gengauss_for_lp_mass(0.5, 2.0)

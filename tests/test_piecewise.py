@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from renyiconv.piecewise import (
-    BreakpointDerivative,
     NegativeDensity,
     PiecewisePoly,
     Polynomial,
@@ -128,12 +127,6 @@ class TestPiecewisePolyBasics:
         assert g.support == (-1, 1)
         assert g.integral_all() == 2
 
-    def test_derivative_at_interior_and_breakpoint(self):
-        f = PiecewisePoly.single(Polynomial([0, 0, 1]), -1, 1)
-        assert f.derivative_at(HALF) == 1
-        with pytest.raises(BreakpointDerivative):
-            f.derivative_at(1)
-
     def test_pointwise_algebra(self):
         f = indicator(-1, 1)
         g = PiecewisePoly.single(Polynomial([0, 1]), 0, 2)
@@ -148,13 +141,6 @@ class TestPiecewisePolyBasics:
         sq = f.power_int(2)
         assert sq.eval(HALF) == Fraction(9, 4)
         assert sq.integral_all() == Fraction(7, 3)
-
-    def test_primitive_is_continuous(self):
-        f = indicator(-1, 1)
-        F = f.primitive()
-        assert F.eval(-1) == 0
-        assert F.eval(0) == 1
-        assert F.eval(1) == 2
 
     def test_nonnegativity_guard(self):
         bad = PiecewisePoly.single(Polynomial([Fraction(-1, 100), 0, 1]), -1, 1)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from renyiconv.entropy import ConstraintSet
-from renyiconv.grid import GridFunction, lp_norm_real, sample
+from renyiconv.euler_lagrange import stationarity_kernel
+from renyiconv.grid import GridFunction, lp_norm_real, sample, self_convolution_grid
 from renyiconv.piecewise import PiecewisePoly, Polynomial, convolve, self_convolution
 from renyiconv.solver import (
     FixedPointSolution,
@@ -52,8 +53,9 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(mode="exact", n=3)
         with pytest.raises(ValueError):
-            SolverConfig(mode="grid", n=3, p=2.0)  # needs general_update
-        SolverConfig(mode="grid", n=3, p=2.0, general_update=True)
+            SolverConfig(mode="exact", p=3.0)
+        # the general update is chosen by (n, p) alone
+        SolverConfig(mode="grid", n=3, p=2.0)
 
     def test_resolved_max_iter(self):
         assert SolverConfig(mode="exact").resolved_max_iter() == 4
@@ -67,17 +69,19 @@ class TestExactIteration:
         assert f == F0
 
     def test_first_iterate_is_one_minus_x_squared(self):
-        assert iterate_once(F0) == F1
+        assert iterate_once(F0).f == F1
 
     def test_update_matches_formula(self):
-        f2 = iterate_once(F1)
-        assert f2 == renormalized_update(F1)
+        step = iterate_once(F1)
+        assert step.f == renormalized_update(F1)
+        # a and b are the normalizer K(0) - K(1) and K(1) of the kernel
+        assert (step.a, step.b, step.clipped) == (Fraction(47, 40) - Fraction(176, 315), Fraction(176, 315), False)
 
     def test_second_iterate_coefficients(self):
         # pinned output of the update applied to 1 - x^2; the kernel values
         # K(0) = 47/40 and K(1) = 176/315 underlying the normalization are
         # independently verified by adaptive quadrature in test_crosschecks.py
-        f2 = iterate_once(F1)
+        f2 = iterate_once(F1).f
         pieces = list(f2.intervals())
         assert len(pieces) == 1
         assert pieces[0][2].coeffs == (
@@ -88,7 +92,7 @@ class TestExactIteration:
     def test_iterates_stay_normalized_even_nonnegative(self):
         f = F0
         for _ in range(3):
-            f = iterate_once(f)
+            f = iterate_once(f).f
             assert f.eval(0) == 1
             assert f.eval(1) == 0
             assert f.eval(-1) == 0
@@ -100,7 +104,7 @@ class TestExactIteration:
         # that the integer jump-form convolution replaced
         f = F0
         for _ in range(4):
-            f = iterate_once(f)
+            f = iterate_once(f).f
         digest = hashlib.sha256(f.to_json().encode()).hexdigest()
         assert digest == "1443c0d56e464f3667ea0b868accacad7bce7c5d7b94098ae2badb8fc2155f38"
 
@@ -153,7 +157,7 @@ class TestGridIteration:
 
     def test_grid_agrees_with_exact_iterate(self):
         g = initial_iterate(SolverConfig(mode="grid", dx=1e-3))
-        g1 = iterate_once(g)
+        g1 = iterate_once(g).f
         exact = sample(F1, 1e-3)
         assert np.max(np.abs(g1.values - exact.values)) < 5e-6
 
@@ -183,21 +187,25 @@ class TestGridIteration:
         assert sol.iterations == 3
 
     def test_general_update_matches_special_case(self):
-        base = run_fixed_point(SolverConfig(mode="grid", dx=1e-2, tol=1e-9))
-        gen = run_fixed_point(SolverConfig(mode="grid", dx=1e-2, tol=1e-9,
-                                           general_update=True))
-        assert np.max(np.abs(base.f.values - gen.f.values)) < 1e-8
+        # at (n, p) = (2, 2) the first-variation kernel is f*f*f; the update
+        # computes the latter, so compare the two kernels on real iterates
+        f0 = initial_iterate(SolverConfig(mode="grid", dx=1e-2))
+        for f in (f0, iterate_once(f0).f):
+            assert np.array_equal(f.values, f.values[::-1])
+            general = stationarity_kernel(f, 2, 2.0)
+            special = self_convolution_grid(f, 3)
+            assert general.x0 == pytest.approx(special.x0, abs=1e-12)
+            assert np.max(np.abs(general.values - special.values)) < 1e-12
 
     @pytest.mark.parametrize("n, p", [(3, 2.0), (2, 3.0), (3, 1.5)])
     def test_general_update_el_residual(self, n, p):
         # the residual of K = a f^(p-1) + b, which the general update solves;
         # measuring |f*f*f - a f - b| instead reported 0.34, 0.15 and 0.25
-        sol = run_fixed_point(SolverConfig(mode="grid", n=n, p=p, dx=1e-3, general_update=True))
+        sol = run_fixed_point(SolverConfig(mode="grid", n=n, p=p, dx=1e-3))
         assert sol.el_residual_sup < 1e-9
 
     def test_general_n3_runs(self):
-        sol = run_fixed_point(SolverConfig(mode="grid", n=3, p=2.0, dx=1e-2,
-                                           tol=1e-8, general_update=True))
+        sol = run_fixed_point(SolverConfig(mode="grid", n=3, p=2.0, dx=1e-2, tol=1e-8))
         assert sol.f.values.max() == 1.0
         assert sol.final_step_sup < 1e-8
 
