@@ -43,6 +43,8 @@ from .solver import NotConverged, SolverConfig, initial_iterate, iterations, run
 
 PLOT_NODES = 2001  # samples on [-1, 1] for plot CSVs
 PLOT_XS = np.linspace(-1.0, 1.0, PLOT_NODES)
+# floor on grid nodes per half-width of the generalized Gaussian in compare
+GENGAUSS_HALF_NODES = 1000
 
 
 def _atomic_write_text(path: str, text: str) -> None:
@@ -260,7 +262,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
         i_gg = float(objective_I(gg_exact[1], n, 2))
     else:
         gg = gengauss_for_lp_mass(M, p)
-        i_gg = float(objective_I(gg.to_grid(args.dx), n, p))
+        # a narrow density (large M) must not fall on a handful of nodes
+        dx = min(args.dx, gg.support[1] / GENGAUSS_HALF_NODES)
+        i_gg = float(objective_I(gg.to_grid(dx), n, p))
 
     hp_fp = -math.log(i_fp) / (p - 1.0)
     hp_gg = -math.log(i_gg) / (p - 1.0)

@@ -73,10 +73,16 @@ class CounterexampleReport(NamedTuple):
 
 
 def stationarity_kernel(q: GridFunction, n: int, p: float) -> GridFunction:
-    """T(C_{n-1}(Q)) * (C_n(Q))^(p-1) on the grid."""
-    cn1 = _grid.self_convolution_grid(q, n - 1) if n > 2 else q
-    cn = _grid.convolve_grid(cn1, q)
-    return _grid.convolve_grid(_grid.reflect(cn1), _grid.power_real(cn, p - 1.0))
+    """T(C_{n-1}(Q)) * (C_n(Q))^(p-1), returned as K on q's own nodes.
+
+    Reflection commutes with convolution, so T(C_{n-1}(Q)) is n - 1
+    factors T(Q); C_n(Q) is one n-factor product and the kernel one
+    windowed product on [q.x0, q.x_end].  Those are the only nodes the
+    fixed-point update, its final fit and el_residual read.
+    """
+    cn = _grid.convolve_grid(*[q] * n)
+    tq = _grid.reflect(q)
+    return _grid.convolve_grid(*[tq] * (n - 1), _grid.power_real(cn, p - 1.0), lo=q.x0, hi=q.x_end)
 
 
 def el_residual(q: GridFunction, n: int, p: float, M: float) -> ElResidualReport:
@@ -100,9 +106,7 @@ def el_residual(q: GridFunction, n: int, p: float, M: float) -> ElResidualReport
         fitted_scale = float(lam)
 
     lam_val = float(objective_I(q, n, p))
-    lhs = stationarity_kernel(q, n, p)
-    i0 = lhs.node_index(float(q.x0))
-    lhs_vals = lhs.values[i0:i0 + len(q)]
+    lhs_vals = stationarity_kernel(q, n, p).values
     rhs_vals = (lam_val / (M * n)) * q.values ** (p - 1.0) + lam_val * (n - 1) / n
 
     thresh = Q_THRESHOLD_REL * float(q.values.max())

@@ -26,6 +26,16 @@ _CONV_CLAMP_REL = 1e-10
 _SPACING_RTOL = 1e-12
 
 
+def _lattice_index(x: float, x0: float, dx: float, size: int) -> int:
+    """Index k of the node x = x0 + k*dx, 0 <= k < size; raises if x is
+    not one."""
+    k = (x - x0) / dx
+    ki = round(k)
+    if abs(k - ki) > 1e-6 or not (0 <= ki < size):
+        raise ValueError(f"x = {x} is not a grid node")
+    return int(ki)
+
+
 class MismatchedSpacing(ValueError):
     """Raised when an operation combines grids with different spacing."""
 
@@ -85,11 +95,7 @@ class GridFunction:
 
     def node_index(self, x: float) -> int:
         """Index of the node at x; raises if x is not a node."""
-        k = (x - self.x0) / self.dx
-        ki = round(k)
-        if abs(k - ki) > 1e-6 or not (0 <= ki < self.values.size):
-            raise ValueError(f"x = {x} is not a grid node")
-        return int(ki)
+        return _lattice_index(x, self.x0, self.dx, self.values.size)
 
     def value_at(self, x: float) -> float:
         return float(self.values[self.node_index(x)])
@@ -139,37 +145,92 @@ def _check_spacing(f: GridFunction, g: GridFunction) -> float:
     return f.dx
 
 
-def convolve_grid(f: GridFunction, g: GridFunction, method: str = "auto") -> GridFunction:
-    """Discrete convolution (f*g)[i] = dx * sum_j f[j] g[i-j].
+def _smooth_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c at or above n."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power-of-two multiple of p35 that reaches n
+            best = min(best, p35 << ((n - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
-    Output starts at f.x0 + g.x0 with length len(f)+len(g)-1.  The
-    transform-based path pads to a power of two; its roundoff can leave
-    tiny negatives on nodes whose true value is 0, clamped relative to
-    the peak before construction.
+
+def convolve_grid(f: GridFunction, g: GridFunction, *more: GridFunction,
+                  lo: float | None = None, hi: float | None = None, method: str = "auto") -> GridFunction:
+    """Discrete convolution of two or more factors on a common spacing:
+    (f*g)[i] = dx * sum_j f[j] g[i-j], and dx^(k-1) times the plain sum
+    for k factors.
+
+    The full output starts at the sum of the factors' x0 and has
+    sum(len) - k + 1 nodes.  A window [lo, hi] (both nodes of that
+    lattice, each defaulting to its end) returns only the nodes in it.
+
+    The transform route takes each distinct sample array's rfft once at
+    one cyclic length L, multiplies the spectra in place and inverts
+    once.  A window starting at linear index w0 with W nodes is
+    alias-free when L >= max(n_out - w0, w0 + W) and L covers the
+    longest factor; L is the smallest 2^a 3^b 5^c that does.  A plain
+    pair with no window keeps the power of two covering n_out, so its
+    bits stay what they were: exact-lane results downstream are pinned.
+    Roundoff can leave tiny negatives on nodes whose true value is 0;
+    they are clamped relative to the window's peak.  The direct route
+    (auto below 513 output nodes) chains np.convolve and slices.
     """
-    dx = _check_spacing(f, g)
-    n_out = f.values.size + g.values.size - 1
+    factors = (f, g) + more
+    for h in factors[1:]:
+        _check_spacing(f, h)
+    dx = f.dx
+    n_out = sum(h.values.size for h in factors) - len(factors) + 1
+    x0 = sum(h.x0 for h in factors)
+    w0 = 0 if lo is None else _lattice_index(lo, x0, dx, n_out)
+    w1 = n_out - 1 if hi is None else _lattice_index(hi, x0, dx, n_out)
+    if w1 < w0:
+        raise ValueError(f"empty window [{lo}, {hi}]")
+    width = w1 - w0 + 1
     if method == "auto":
         method = "fft" if n_out > 512 else "direct"
     if method == "direct":
-        out = np.convolve(f.values, g.values)
+        out = f.values
+        for h in factors[1:]:
+            out = np.convolve(out, h.values)
+        out = out[w0:w1 + 1]
     elif method == "fft":
-        n_fft = 1 << (n_out - 1).bit_length()
-        out = np.fft.irfft(np.fft.rfft(f.values, n_fft) * np.fft.rfft(g.values, n_fft), n_fft)[:n_out]
+        if len(factors) == 2 and width == n_out:
+            n_fft = 1 << (n_out - 1).bit_length()
+        else:
+            n_fft = _smooth_length(max(n_out - w0, w0 + width, *(h.values.size for h in factors)))
+        multiplicity = {}
+        for h in factors:
+            multiplicity.setdefault(id(h.values), [h.values, 0])[1] += 1
+        prod = None
+        for vals, k in multiplicity.values():
+            spec = np.fft.rfft(vals, n_fft)
+            if prod is None:
+                prod, k = (spec.copy() if k > 1 else spec), k - 1
+            for _ in range(k):
+                prod *= spec
+        del spec
+        out = np.fft.irfft(prod, n_fft)[w0:w1 + 1]
+        del prod
         clamp = _CONV_CLAMP_REL * max(1.0, float(np.abs(out).max()))
         out[(out < 0) & (out > -clamp)] = 0.0
     else:
         raise ValueError(f"unknown method {method!r}")
-    return GridFunction(f.x0 + g.x0, dx, dx * out)
+    return GridFunction(x0 + w0 * dx, dx, dx ** (len(factors) - 1) * out)
 
 
-def self_convolution_grid(f: GridFunction, n: int, method: str = "auto") -> GridFunction:
-    """n-fold self convolution on the grid (n = 1 returns f)."""
+def self_convolution_grid(f: GridFunction, n: int) -> GridFunction:
+    """n-fold self convolution on the grid (n = 1 returns f), as a chain
+    of plain pairs: the exact solve's residual and the x^6 estimate
+    downstream are pinned to these bits."""
     if n < 1:
         raise ValueError("self_convolution_grid requires n >= 1")
     out = f
     for _ in range(n - 1):
-        out = convolve_grid(out, f, method=method)
+        out = convolve_grid(out, f)
     return out
 
 

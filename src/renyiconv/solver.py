@@ -131,10 +131,10 @@ def _check_unit_support(f: Density) -> None:
 
 
 def _kernel_of(f: GridFunction, n: int, p: float) -> GridFunction:
-    """The update kernel on the grid: f*f*f for (n, p) = (2, 2), else the
-    first-variation kernel."""
+    """The update kernel on f's own nodes: f*f*f for (n, p) = (2, 2),
+    else the first-variation kernel."""
     if (n, p) == (2, 2):
-        return _grid.self_convolution_grid(f, 3)
+        return _grid.convolve_grid(f, f, f, lo=f.x0, hi=f.x_end)
     return stationarity_kernel(f, n, p)
 
 

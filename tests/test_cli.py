@@ -213,6 +213,18 @@ class TestCompare:
         d = load(os.path.join(out, "compare.json"))
         assert d["ordering_ok"] is True
 
+    def test_narrow_gengauss_keeps_the_ordering(self, tmp_path):
+        # at M = 5 the p = 1.5 generalized Gaussian has half-width 0.0276;
+        # sampled at --dx 0.01 it sat on about 3 nodes, I_gengauss read
+        # 3.8927 and the verdict flipped to a false exit 4
+        margins = []
+        for dx in ("0.01", "1e-3"):
+            out = str(tmp_path / dx)
+            assert run(["compare", "--n", "3", "--p", "1.5", "--M", "5", "--dx", dx, "--out", out]) == 0
+            margins.append(float(load(os.path.join(out, "compare.json"))["margin"]))
+        assert margins[0] > 0
+        assert margins[0] == pytest.approx(margins[1], rel=1e-4)
+
     def test_regression_exits_4(self, tmp_path, monkeypatch):
         # force the ordering to fail to observe the regression signal
         import renyiconv.cli as cli_mod

@@ -10,6 +10,7 @@ from renyiconv.grid import (
     AsymmetricGrid,
     GridFunction,
     MismatchedSpacing,
+    _smooth_length,
     convolve_grid,
     lp_norm_real,
     power_real,
@@ -118,6 +119,138 @@ class TestConvolveGrid:
         b = GridFunction(0.0, 0.2, np.ones(5))
         with pytest.raises(MismatchedSpacing):
             convolve_grid(a, b)
+
+
+def _chain(factors):
+    """np.convolve of the factors' samples, scaled like the grid product."""
+    out = factors[0].values
+    for h in factors[1:]:
+        out = np.convolve(out, h.values)
+    return factors[0].dx ** (len(factors) - 1) * out
+
+
+def _factor(rng, dx, size):
+    """Random asymmetric samples starting at a random node."""
+    return GridFunction(dx * int(rng.integers(-300, 300)), dx, rng.uniform(0, 1, size) ** 3)
+
+
+def _factors(rng, k):
+    """Random factor a, its reflection and k - 2 more random factors."""
+    dx = 0.01
+    a = _factor(rng, dx, 300)
+    return [a, reflect(a)] + [_factor(rng, dx, int(rng.integers(150, 400))) for _ in range(k - 2)]
+
+
+def _irfft_lengths(monkeypatch):
+    """Record the length of every inverse transform."""
+    seen, irfft = [], np.fft.irfft
+
+    def counted(a, n=None, *args, **kwargs):
+        seen.append(n)
+        return irfft(a, n, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", counted)
+    return seen
+
+
+class TestConvolveProduct:
+    """The n-factor product, windowed or not, against np.convolve of the
+    same samples, to 1e-12 relative to the peak."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_full_product(self, rng, k):
+        factors = _factors(rng, k)
+        ref = _chain(factors)
+        for method in ("fft", "auto"):
+            c = convolve_grid(*factors, method=method)
+            assert len(c) == ref.size
+            assert c.x0 == pytest.approx(sum(h.x0 for h in factors), abs=1e-12)
+            assert np.max(np.abs(c.values - ref)) <= 1e-12 * ref.max()
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_off_centre_windows(self, rng, k):
+        factors = _factors(rng, k)
+        dx = factors[0].dx
+        ref = _chain(factors)
+        x0 = sum(h.x0 for h in factors)
+        for _ in range(6):
+            w0 = int(rng.integers(0, ref.size // 2))
+            w1 = int(rng.integers(w0, ref.size))
+            c = convolve_grid(*factors, lo=x0 + w0 * dx, hi=x0 + w1 * dx)
+            assert len(c) == w1 - w0 + 1
+            assert c.x0 == pytest.approx(x0 + w0 * dx, abs=1e-9)
+            assert np.max(np.abs(c.values - ref[w0:w1 + 1])) <= 1e-12 * ref.max()
+        head = convolve_grid(*factors, hi=x0 + 10 * dx)
+        tail = convolve_grid(*factors, lo=x0 + (ref.size - 11) * dx)
+        assert np.max(np.abs(head.values - ref[:11])) <= 1e-12 * ref.max()
+        assert np.max(np.abs(tail.values - ref[-11:])) <= 1e-12 * ref.max()
+
+    @pytest.mark.parametrize("sizes, w0, width, bound", [
+        # n_out - w0 = w0 + W = 1200 = 2^4 3 5^2
+        ((534, 534, 534), 400, 800, 1200),
+        # each term of the bound alone: n_out - w0, w0 + W, the longest
+        # factor (1000 = 2^3 5^3)
+        ((600, 601), 0, 2, 1200),
+        ((600, 601), 1198, 2, 1200),
+        ((1000, 10), 500, 2, 1000),
+    ])
+    def test_window_at_exact_alias_bound(self, rng, monkeypatch, sizes, w0, width, bound):
+        dx = 0.01
+        factors = [GridFunction(-1.0, dx, rng.uniform(0, 1, m)) for m in sizes]
+        ref = _chain(factors)
+        x0 = sum(h.x0 for h in factors)
+        lengths = _irfft_lengths(monkeypatch)
+        c = convolve_grid(*factors, lo=x0 + w0 * dx, hi=x0 + (w0 + width - 1) * dx)
+        assert lengths == [bound]
+        assert np.max(np.abs(c.values - ref[w0:w0 + width])) <= 1e-12 * ref.max()
+
+    def test_transform_length_is_least_5_smooth(self):
+        def smooth(m):
+            for q in (2, 3, 5):
+                while m % q == 0:
+                    m //= q
+            return m == 1
+
+        for n in range(1, 3000):
+            L = _smooth_length(n)
+            assert L >= n and smooth(L)
+            assert not any(smooth(m) for m in range(n, L))
+
+    def test_direct_route(self, rng, monkeypatch):
+        a = _factor(rng, 0.1, 100)
+        factors = [a, reflect(a), _factor(rng, 0.1, 40)]
+        ref = _chain(factors)
+        assert ref.size <= 512
+        x0 = sum(h.x0 for h in factors)
+        lengths = _irfft_lengths(monkeypatch)
+        c = convolve_grid(*factors, lo=x0 + 20 * 0.1, hi=x0 + 150 * 0.1)
+        assert lengths == []
+        assert c.x0 == pytest.approx(x0 + 20 * 0.1, abs=1e-9)
+        assert np.max(np.abs(c.values - ref[20:151])) <= 1e-12 * ref.max()
+        d = convolve_grid(*factors, method="direct")
+        assert np.max(np.abs(d.values - ref)) <= 1e-12 * ref.max()
+
+    def test_plain_pair_keeps_power_of_two_bits(self, rng):
+        # the exact solve's residual and the x^6 estimate are pinned to these
+        dx = 0.01
+        a = GridFunction(-1.0, dx, rng.uniform(0, 1, 700))
+        b = GridFunction(0.5, dx, rng.uniform(0, 1, 450))
+        for f, g in ((a, b), (a, a)):
+            n_out = len(f) + len(g) - 1
+            L = 1 << (n_out - 1).bit_length()
+            expected = dx * np.fft.irfft(np.fft.rfft(f.values, L) * np.fft.rfft(g.values, L), L)[:n_out]
+            assert np.array_equal(convolve_grid(f, g).values, expected)
+
+    def test_rejects_bad_windows_and_spacing(self):
+        a = GridFunction(0.0, 0.1, np.ones(5))
+        with pytest.raises(ValueError):
+            convolve_grid(a, a, lo=0.05)
+        with pytest.raises(ValueError):
+            convolve_grid(a, a, lo=0.5, hi=0.3)
+        with pytest.raises(ValueError):
+            convolve_grid(a, a, hi=2.0)
+        with pytest.raises(MismatchedSpacing):
+            convolve_grid(a, a, GridFunction(0.0, 0.2, np.ones(5)))
 
 
 class TestNormsAndPowers:

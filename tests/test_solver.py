@@ -188,14 +188,17 @@ class TestGridIteration:
 
     def test_general_update_matches_special_case(self):
         # at (n, p) = (2, 2) the first-variation kernel is f*f*f; the update
-        # computes the latter, so compare the two kernels on real iterates
+        # computes the latter, so compare the two kernels on real iterates.
+        # The first-variation kernel covers only f's nodes, [-1, 1].
         f0 = initial_iterate(SolverConfig(mode="grid", dx=1e-2))
         for f in (f0, iterate_once(f0).f):
             assert np.array_equal(f.values, f.values[::-1])
             general = stationarity_kernel(f, 2, 2.0)
             special = self_convolution_grid(f, 3)
-            assert general.x0 == pytest.approx(special.x0, abs=1e-12)
-            assert np.max(np.abs(general.values - special.values)) < 1e-12
+            i = special.node_index(-1.0)
+            assert len(general) == len(f)
+            assert general.x0 == pytest.approx(special.nodes[i], abs=1e-12)
+            assert np.max(np.abs(general.values - special.values[i:i + len(f)])) < 1e-12
 
     @pytest.mark.parametrize("n, p", [(3, 2.0), (2, 3.0), (3, 1.5)])
     def test_general_update_el_residual(self, n, p):
