@@ -250,7 +250,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     q = sol.f
     if args.M is None:
         # constraint set induced by the solution's own norms (dilation 1)
-        M = _grid.lp_norm_real(q, p) / q.mass ** p
+        M = q.lp_mass(p) / q.mass ** p
     else:
         M = args.M
     constraints = ConstraintSet(M=M, p=p, n=n)
@@ -258,7 +258,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     i_fp = float(objective_I(q_feas, n, p))
 
     if p == 2.0:
-        gg_exact = exact_gengauss_p2_for_lp_mass(Fraction(M) if isinstance(M, Fraction) else Fraction(float(M)))
+        gg_exact = exact_gengauss_p2_for_lp_mass(M)
         i_gg = float(objective_I(gg_exact[1], n, 2))
     else:
         gg = gengauss_for_lp_mass(M, p)

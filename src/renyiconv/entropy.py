@@ -1,10 +1,11 @@
 """Renyi entropy functionals, the convolution objective, feasible-set
 normalization, and the generalized Gaussian family.
 
-All quantities are for densities on the line (d = 1).  Exact rational
-arithmetic is used whenever the input is a piecewise polynomial and the
-exponents are integers; otherwise computation routes through the grid
-layer.
+All quantities are for densities on the line (d = 1).  A density is a
+PiecewisePoly or a GridFunction; both answer mass, lp_mass(p), convolve,
+dilate and scaling by a constant, so every function here has one body.
+A piecewise polynomial gives exact Fraction results and needs an integer
+exponent p; a grid gives floats for any real p >= 1.
 """
 from __future__ import annotations
 
@@ -15,14 +16,13 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from . import grid as _grid
 from .grid import GridFunction
 from .piecewise import PiecewisePoly, self_convolution
 
 Density = Union[PiecewisePoly, GridFunction]
 
-# grid spacing used when a piecewise input needs a numeric fallback
-DEFAULT_DX = 1e-3
+# relative tolerance of the feasibility check after a rescaling
+_FEASIBLE_RTOL = 1e-9
 
 
 class DegenerateDensity(ValueError):
@@ -50,30 +50,6 @@ class ConstraintSet:
             raise ValueError("n must be an integer >= 2")
 
 
-def _is_integer_exponent(p) -> bool:
-    if isinstance(p, int):
-        return True
-    if isinstance(p, Fraction):
-        return p.denominator == 1
-    if isinstance(p, float):
-        return p.is_integer()
-    return False
-
-
-def _as_grid(f: Density, dx: float = DEFAULT_DX) -> GridFunction:
-    if isinstance(f, GridFunction):
-        return f
-    return _grid.sample(f, dx)
-
-
-def lp_mass(f: Density, p) -> Union[Fraction, float]:
-    """Integral of f^p: exact Fraction for piecewise f with integer p,
-    float otherwise."""
-    if isinstance(f, PiecewisePoly) and _is_integer_exponent(p):
-        return f.lp_norm_int(int(p))
-    return _grid.lp_norm_real(_as_grid(f), float(p))
-
-
 def _log_fraction(q: Fraction) -> float:
     return math.log(q.numerator) - math.log(q.denominator)
 
@@ -82,7 +58,7 @@ def renyi_entropy(f: Density, p) -> float:
     """h_p = -log(integral of f^p) / (p - 1), for p > 1."""
     if not float(p) > 1:
         raise ValueError("renyi_entropy requires p > 1")
-    ip = lp_mass(f, p)
+    ip = f.lp_mass(p)
     if ip <= 0:
         raise DegenerateDensity("integral of f^p is zero")
     log_ip = _log_fraction(ip) if isinstance(ip, Fraction) else math.log(ip)
@@ -93,16 +69,12 @@ def objective_I(f: Density, n: int, p) -> Union[Fraction, float]:
     """The objective: integral of [C_n(f)]^p where C_n is the n-fold
     self convolution.
 
-    Exact mode (piecewise f, integer p) returns a Fraction, which is
-    simultaneously the exact rational value and a usable real number;
-    all other inputs go through the grid pipeline and return a float.
+    A piecewise f returns a Fraction, which is simultaneously the exact
+    rational value and a usable real number; a grid f returns a float.
     """
     if n < 1:
         raise ValueError("objective_I requires n >= 1")
-    if isinstance(f, PiecewisePoly) and _is_integer_exponent(p):
-        return self_convolution(f, n).lp_norm_int(int(p))
-    g = _as_grid(f)
-    return _grid.lp_norm_real(_grid.self_convolution_grid(g, n), float(p))
+    return self_convolution(f, n).lp_mass(p)
 
 
 class FeasibleScaling(NamedTuple):
@@ -143,46 +115,38 @@ def scale_to_feasible(f: Density, constraints: ConstraintSet) -> FeasibleScaling
     so that ||f_tilde||_1 = 1 and ||f_tilde||_p^p = M, and
       objective_I(f_tilde, n, p) = predicted_ratio * objective_I(f, n, p)
     with predicted_ratio = M / (||f||_p^p * ||f||_1^(p(n-1))).
+
+    A piecewise f (integer p) gets an exact rational lam when the root is
+    rational and the float root as a Fraction otherwise; a grid f gets
+    float arithmetic throughout.
     """
     M, p, n = constraints.M, constraints.p, constraints.n
-    if isinstance(f, PiecewisePoly) and _is_integer_exponent(p):
-        pi = int(p)
-        mass = f.integral_all()
-        if mass <= 0:
-            raise ZeroMass("||f||_1 must be positive")
-        lpm = f.lp_norm_int(pi)
-        if lpm <= 0:
-            raise DegenerateDensity("||f||_p^p must be positive")
-        m_exact = M if isinstance(M, Fraction) else Fraction(M)
-        ratio = lpm / (m_exact * mass ** pi)
-        lam = _nth_root_fraction(ratio, pi - 1)
-        if lam is None:
-            lam = Fraction(float(ratio) ** (1.0 / (pi - 1)))
-        f_tilde = f.dilate(lam) * (1 / (lam * mass))
-        predicted = m_exact / (lpm * mass ** (pi * (n - 1)))
-        _assert_feasible(f_tilde, constraints)
-        return FeasibleScaling(f_tilde, lam, predicted)
-
-    g = _as_grid(f)
-    mass = g.mass
+    mass = f.mass
     if mass <= 0:
         raise ZeroMass("||f||_1 must be positive")
-    lpm = _grid.lp_norm_real(g, float(p))
+    lpm = f.lp_mass(p)
     if lpm <= 0:
         raise DegenerateDensity("||f||_p^p must be positive")
-    lam = (lpm / (float(M) * mass ** float(p))) ** (1.0 / (float(p) - 1.0))
-    f_tilde = g.dilate(lam).scaled(1.0 / (lam * mass))
-    predicted = float(M) / (lpm * mass ** (float(p) * (n - 1)))
+    if isinstance(lpm, Fraction):
+        M, p = Fraction(M), int(p)
+        ratio = lpm / (M * mass ** p)
+        lam = _nth_root_fraction(ratio, p - 1)
+        if lam is None:
+            lam = Fraction(float(ratio) ** (1.0 / (p - 1)))
+    else:
+        M, p = float(M), float(p)
+        lam = (lpm / (M * mass ** p)) ** (1.0 / (p - 1.0))
+    f_tilde = f.dilate(lam) * (1 / (lam * mass))
+    predicted = M / (lpm * mass ** (p * (n - 1)))
     _assert_feasible(f_tilde, constraints)
     return FeasibleScaling(f_tilde, lam, predicted)
 
 
-def _assert_feasible(f: Density, constraints: ConstraintSet, rtol: float = 1e-9) -> None:
-    mass = f.integral_all() if isinstance(f, PiecewisePoly) else f.mass
-    lpm = lp_mass(f, constraints.p if not _is_integer_exponent(constraints.p) else int(constraints.p))
-    if abs(float(mass) - 1.0) > rtol:
+def _assert_feasible(f: Density, constraints: ConstraintSet) -> None:
+    mass, lpm = f.mass, f.lp_mass(constraints.p)
+    if abs(float(mass) - 1.0) > _FEASIBLE_RTOL:
         raise RuntimeError(f"normalization failed: ||f||_1 = {float(mass)}")
-    if abs(float(lpm) - float(constraints.M)) > rtol * max(1.0, float(constraints.M)):
+    if abs(float(lpm) - float(constraints.M)) > _FEASIBLE_RTOL * max(1.0, float(constraints.M)):
         raise RuntimeError(f"normalization failed: ||f||_p^p = {float(lpm)}")
 
 
@@ -218,10 +182,10 @@ class GeneralizedGaussian:
             return 0.0
         return self.alpha * u ** self.q
 
-    def to_grid(self, dx: float, padding: float = 0.0) -> GridFunction:
+    def to_grid(self, dx: float) -> GridFunction:
         if not dx > 0:
             raise ValueError("dx must be positive")
-        half = self.beta ** -0.5 + padding
+        half = self.beta ** -0.5
         n = max(2, int(math.ceil(half / dx - 1e-9)))
         xs = dx * np.arange(-n, n + 1)
         u = np.maximum(1.0 - self.beta * xs * xs, 0.0)

@@ -91,16 +91,13 @@ def el_residual(q: GridFunction, n: int, p: float, M: float) -> ElResidualReport
     If Q is not feasible for (M, p) within 1e-6 it is rescaled into the
     feasible set first; the dilation used is reported as fitted_scale.
     """
-    if not (isinstance(n, int) and n >= 2):
-        raise ValueError("n must be an integer >= 2")
-    if not p > 1:
-        raise ValueError("p must exceed 1")
+    constraints = ConstraintSet(M=M, p=p, n=n)
     fitted_scale = 1.0
     mass = q.mass
-    lpm = _grid.lp_norm_real(q, p)
+    lpm = q.lp_mass(p)
     if abs(mass - 1.0) > 1e-6 or abs(lpm - M) > 1e-6 * max(1.0, abs(M)):
         try:
-            q, lam, _ = scale_to_feasible(q, ConstraintSet(M=M, p=p, n=n))
+            q, lam, _ = scale_to_feasible(q, constraints)
         except (ZeroMass, DegenerateDensity) as exc:
             raise InfeasibleInput(str(exc)) from exc
         fitted_scale = float(lam)
@@ -126,10 +123,10 @@ def el_residual(q: GridFunction, n: int, p: float, M: float) -> ElResidualReport
 def _ls_affine_fit(K: PiecewisePoly, g: PiecewisePoly) -> tuple[Fraction, Fraction]:
     """Exact least-squares fit of K ~ a g + b over [-1, 1]."""
     lo, hi = Fraction(-1), Fraction(1)
-    kg = (K.restrict(lo, hi) * g).integral_all()
+    kg = (K.restrict(lo, hi) * g).mass
     k1 = K.integral(lo, hi)
-    gg = (g * g).integral_all()
-    g1 = g.integral_all()
+    gg = (g * g).mass
+    g1 = g.mass
     length = hi - lo
     det = gg * length - g1 * g1
     a = (kg * length - g1 * k1) / det
@@ -208,7 +205,7 @@ def estimate_x6_grid(dx: float = 1e-4, stencil_step: float = 0.05) -> float:
     alpha = Fraction(3, 4)
     g = PiecewisePoly.single(Polynomial([alpha, 0, -alpha]), -1, 1)
     gs = _grid.sample(g, dx)
-    K = _grid.self_convolution_grid(gs, 3)
+    K = self_convolution(gs, 3)
     c = K.node_index(0.0)
     w = np.array([1.0, -6.0, 15.0, -20.0, 15.0, -6.0, 1.0])
     window = K.values[c - 3 * k: c + 3 * k + 1: k]
@@ -240,14 +237,11 @@ def young_bound_check(gs: Sequence[GridFunction], p: float) -> YoungCheck:
         raise ValueError("need at least two factors")
     if not p > 1:
         raise ValueError("p must exceed 1")
-    conv = gs[0]
-    for g in gs[1:]:
-        conv = _grid.convolve_grid(conv, g)
-    lhs = _grid.lp_norm_real(conv, p) ** (1.0 / p)
+    lhs = _grid.convolve_grid(*gs).lp_mass(p) ** (1.0 / p)
     r = young_exponent(n, p)
     rhs = 1.0
     for g in gs:
-        rhs *= _grid.lp_norm_real(g, r) ** (1.0 / r)
+        rhs *= g.lp_mass(r) ** (1.0 / r)
     return YoungCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs * (1.0 + 1e-8))
 
 

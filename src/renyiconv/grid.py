@@ -81,9 +81,19 @@ class GridFunction:
         return self.x0 + self.dx * (self.values.size - 1)
 
     @property
+    def support(self) -> tuple[float, float]:
+        return self.x0, self.x_end
+
+    @property
     def mass(self) -> float:
         """Rectangle-rule integral dx * sum(values), summed with fsum."""
         return self.dx * math.fsum(self.values.tolist())
+
+    def lp_mass(self, p) -> float:
+        """dx * sum f[i]^p, the p-th power of the grid L^p norm, for p >= 1."""
+        if not (p >= 1):
+            raise ValueError("lp_mass requires p >= 1")
+        return self.dx * math.fsum(np.power(self.values, float(p)).tolist())
 
     def is_symmetric_grid(self, rtol: float = 1e-9) -> bool:
         """True when the node set is symmetric about 0 (odd count)."""
@@ -97,16 +107,21 @@ class GridFunction:
         """Index of the node at x; raises if x is not a node."""
         return _lattice_index(x, self.x0, self.dx, self.values.size)
 
-    def value_at(self, x: float) -> float:
+    def __call__(self, x: float) -> float:
+        """Value at the node x; raises if x is not a node."""
         return float(self.values[self.node_index(x)])
 
     def with_values(self, values: np.ndarray) -> "GridFunction":
         """Same grid, new values (validated by the constructor)."""
         return GridFunction(self.x0, self.dx, values)
 
-    def scaled(self, c: float) -> "GridFunction":
+    def __mul__(self, c: float) -> "GridFunction":
         """Pointwise multiple c*f, c >= 0."""
         return self.with_values(c * self.values)
+
+    def convolve(self, g: "GridFunction") -> "GridFunction":
+        """The plain pair f * g of convolve_grid, full output."""
+        return convolve_grid(self, g)
 
     def dilate(self, lam: float) -> "GridFunction":
         """The function x -> f(x/lam): same samples on the lattice scaled
@@ -125,12 +140,11 @@ def symmetric_grid(values: Sequence[float], dx: float) -> GridFunction:
     return GridFunction(-(vals.size - 1) / 2 * dx, dx, vals)
 
 
-def sample(f: PiecewisePoly, dx: float, padding: float = 0.0) -> GridFunction:
-    """Sample f at uniform nodes covering its support extended by padding."""
+def sample(f: PiecewisePoly, dx: float) -> GridFunction:
+    """Sample f at uniform nodes covering its support."""
     if not (dx > 0):
         raise ValueError("dx must be positive")
-    lo = float(f.support[0]) - padding
-    hi = float(f.support[1]) + padding
+    lo, hi = float(f.support[0]), float(f.support[1])
     n = max(2, int(math.ceil((hi - lo) / dx - 1e-9)) + 1)
     vals = np.empty(n)
     for k in range(n):
@@ -222,30 +236,11 @@ def convolve_grid(f: GridFunction, g: GridFunction, *more: GridFunction,
     return GridFunction(x0 + w0 * dx, dx, dx ** (len(factors) - 1) * out)
 
 
-def self_convolution_grid(f: GridFunction, n: int) -> GridFunction:
-    """n-fold self convolution on the grid (n = 1 returns f), as a chain
-    of plain pairs: the exact solve's residual and the x^6 estimate
-    downstream are pinned to these bits."""
-    if n < 1:
-        raise ValueError("self_convolution_grid requires n >= 1")
-    out = f
-    for _ in range(n - 1):
-        out = convolve_grid(out, f)
-    return out
-
-
 def power_real(f: GridFunction, q: float) -> GridFunction:
     """Pointwise power f^q for real q > 0 (0^q = 0)."""
     if not (q > 0):
         raise ValueError("power_real requires q > 0")
     return f.with_values(np.power(f.values, q))
-
-
-def lp_norm_real(f: GridFunction, p: float) -> float:
-    """dx * sum f[i]^p, the p-th power of the grid L^p norm, for p >= 1."""
-    if not (p >= 1):
-        raise ValueError("lp_norm_real requires p >= 1")
-    return f.dx * math.fsum(np.power(f.values, p).tolist())
 
 
 def reflect(f: GridFunction) -> GridFunction:

@@ -396,7 +396,8 @@ class PiecewisePoly:
                 total += p.integrate(left, right)
         return total
 
-    def integral_all(self) -> Fraction:
+    @property
+    def mass(self) -> Fraction:
         """Integral over the whole support."""
         return self.integral(*self.support)
 
@@ -434,18 +435,20 @@ class PiecewisePoly:
                     if p((lo + hi) / 2) < 0:
                         raise NegativeDensity("negative interior minimum detected")
 
-    def lp_norm_int(self, p: int) -> Fraction:
-        """Exact integral of f^p over the support, for integer p >= 1.
+    def lp_mass(self, p) -> Fraction:
+        """Exact integral of f^p over the support, for an integer-valued
+        p >= 1 (int, Fraction or float); other exponents raise ValueError.
 
         Requires f >= 0 on its support (this is the p-th power of the
         L^p norm of a density).
         """
-        if p < 1:
-            raise ValueError("lp_norm_int requires integer p >= 1")
+        k = int(p)
+        if k != p or k < 1:
+            raise ValueError(f"exact p-mass requires an integer p >= 1, got {p}")
         self.assert_nonnegative()
-        if p == 1:
-            return self.integral_all()
-        return self.power_int(p).integral_all()
+        if k == 1:
+            return self.mass
+        return self.power_int(k).mass
 
     # ------------------------------------------------------------------
     # convolution
@@ -517,8 +520,12 @@ def convolve(f: PiecewisePoly, g: PiecewisePoly) -> PiecewisePoly:
     return f.convolve(g)
 
 
-def self_convolution(f: PiecewisePoly, n: int) -> PiecewisePoly:
-    """Density of the sum of n independent copies: f convolved n-1 times."""
+def self_convolution(f, n: int):
+    """Density of the sum of n independent copies: f convolved n-1 times.
+
+    Serves both lanes through f.convolve; on the grid that is a chain of
+    plain pairs, and the exact solve's residual and the x^6 estimate
+    downstream are pinned to those bits."""
     if n < 1:
         raise ValueError("self_convolution requires n >= 1")
     out = f

@@ -14,7 +14,11 @@ satisfies K = a f^(p-1) + b.  That generalization is a plausible
 extension, not an established scheme.
 
 iterate_once is the single update step and iterations the single loop;
-run_fixed_point and the CLI both consume the loop.
+run_fixed_point and the CLI both consume the loop.  Both lanes run the
+same code: an exact and a sampled density answer the same questions
+(support, value at a point, convolution), and the only lane choices
+left are the kernel and the exact lane asserting nonnegativity where the
+grid takes the positive part.
 """
 from __future__ import annotations
 
@@ -25,12 +29,10 @@ from typing import Callable, Iterator, NamedTuple, Optional, Union
 import numpy as np
 
 from . import grid as _grid
-from .entropy import ConstraintSet, objective_I, scale_to_feasible
+from .entropy import ConstraintSet, Density, objective_I, scale_to_feasible
 from .euler_lagrange import stationarity_kernel
 from .grid import GridFunction
 from .piecewise import PiecewisePoly, self_convolution
-
-Density = Union[PiecewisePoly, GridFunction]
 
 _SUPPORT_SLACK = 1e-9
 
@@ -120,19 +122,14 @@ def initial_iterate(config: SolverConfig) -> Density:
     return _grid.symmetric_grid(np.ones(2 * steps + 1), config.dx)
 
 
-def _check_unit_support(f: Density) -> None:
+def _kernel_of(f: Density, n: int, p: float) -> Density:
+    """The update kernel: f*f*f for (n, p) = (2, 2), else the
+    first-variation kernel.  A grid kernel covers f's own nodes only; an
+    exact one is the whole triple self convolution."""
     if isinstance(f, PiecewisePoly):
-        lo, hi = f.support
-        if lo < -1 or hi > 1:
-            raise ValueError("iterate must be supported in [-1, 1]")
-    else:
-        if f.x0 < -1 - _SUPPORT_SLACK or f.x_end > 1 + _SUPPORT_SLACK:
-            raise ValueError("iterate must be supported in [-1, 1]")
-
-
-def _kernel_of(f: GridFunction, n: int, p: float) -> GridFunction:
-    """The update kernel on f's own nodes: f*f*f for (n, p) = (2, 2),
-    else the first-variation kernel."""
+        if (n, p) != (2, 2):
+            raise ValueError("exact iteration supports only n = 2, p = 2")
+        return self_convolution(f, 3)
     if (n, p) == (2, 2):
         return _grid.convolve_grid(f, f, f, lo=f.x0, hi=f.x_end)
     return stationarity_kernel(f, n, p)
@@ -146,19 +143,15 @@ def iterate_once(f: Density, n: int = 2, p: float = 2.0) -> Step:
     represent the positive part across an irrational zero crossing, so a
     negative dip raises NegativeDensity rather than being clipped.
     """
-    _check_unit_support(f)
+    lo, hi = f.support
+    if lo < -1 - _SUPPORT_SLACK or hi > 1 + _SUPPORT_SLACK:
+        raise ValueError("iterate must be supported in [-1, 1]")
+    K = _kernel_of(f, n, p)
     exact = isinstance(f, PiecewisePoly)
-    if exact:
-        if (n, p) != (2, 2):
-            raise ValueError("exact iteration supports only n = 2, p = 2")
-        K = self_convolution(f, 3)
-        k0, k1 = K.eval(0), K.eval(1)
-    else:
-        K = _kernel_of(f, n, p)
-        if np.array_equal(f.values, f.values[::-1]):
-            # even input makes K even in exact arithmetic; fold out roundoff
-            K = K.with_values(0.5 * (K.values + K.values[::-1]))
-        k0, k1 = K.value_at(0.0), K.value_at(1.0)
+    if not exact and np.array_equal(f.values, f.values[::-1]):
+        # even input makes K even in exact arithmetic; fold out roundoff
+        K = K.with_values(0.5 * (K.values + K.values[::-1]))
+    k0, k1 = K(0), K(1)
     if k0 == k1:
         raise DegenerateNormalizer("K(0) = K(1)")
     if exact:
@@ -228,14 +221,9 @@ def run_fixed_point(config: SolverConfig) -> FixedPointSolution:
 
     # affine fit at the final iterate; the exact lane's residual is
     # measured on the grid, against the triple convolution of the samples
-    if exact:
-        K = self_convolution(f, 3)
-        a, b = K.eval(0) - K.eval(1), K.eval(1)
-        el_sup = _affine_residual_sup(fs, _grid.self_convolution_grid(fs, 3), a, b, 2)
-    else:
-        K = _kernel_of(f, config.n, config.p)
-        a, b = K.value_at(0.0) - K.value_at(1.0), K.value_at(1.0)
-        el_sup = _affine_residual_sup(f, K, a, b, config.p)
+    K = _kernel_of(f, config.n, config.p)
+    a, b = K(0) - K(1), K(1)
+    el_sup = _affine_residual_sup(fs, self_convolution(fs, 3) if exact else K, a, b, config.p)
     sup_step = records[-1].sup_step if records else 0.0
     solution = FixedPointSolution(
         f=f,
@@ -277,17 +265,11 @@ def consistency_with_el(sol: FixedPointSolution, constraints: ConstraintSet) -> 
     """
     if constraints.n != 2 or constraints.p != 2:
         raise ValueError("consistency check applies to n = 2, p = 2")
-    q, lam_scale, _ = scale_to_feasible(sol.f, constraints)
+    q, _, _ = scale_to_feasible(sol.f, constraints)
     lam_val = float(objective_I(q, 2, 2))
-    if isinstance(q, PiecewisePoly):
-        K = self_convolution(q, 3)
-        edge = q.support[1]
-        k0, ke = float(K.eval(0)), float(K.eval(edge))
-        q0 = float(q.eval(0))
-    else:
-        K = _grid.self_convolution_grid(q, 3)
-        k0, ke = K.value_at(0.0), K.value_at(q.x_end)
-        q0 = q.value_at(0.0)
+    K = self_convolution(q, 3)
+    edge = q.support[1]
+    k0, ke, q0 = float(K(0)), float(K(edge)), float(q(0))
     a_fit = (k0 - ke) / q0
     b_fit = ke
     m = float(constraints.M)

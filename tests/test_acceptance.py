@@ -42,7 +42,7 @@ from renyiconv.euler_lagrange import (
     young_bound_check,
     young_exponent,
 )
-from renyiconv.grid import GridFunction, lp_norm_real
+from renyiconv.grid import GridFunction
 from renyiconv.piecewise import PiecewisePoly, Polynomial
 from renyiconv.solver import SolverConfig, consistency_with_el, run_fixed_point
 
@@ -127,7 +127,7 @@ def test_criterion_2_counterexample_verdict(capsys):
 def test_criterion_3_fixed_point_convergence(converged, capsys):
     sol, elapsed = converged
     q = sol.f
-    m_nat = lp_norm_real(q, 2.0) / q.mass ** 2
+    m_nat = q.lp_mass(2.0) / q.mass ** 2
     resid = el_residual(q, 2, 2.0, m_nat)
     cons = consistency_with_el(sol, ConstraintSet(M=m_nat, p=2.0, n=2))
     ok = (sol.final_step_sup < 1e-10 and sol.iterations <= 200
@@ -197,7 +197,7 @@ def test_criterion_5_scaling_identity_suite(rng, capsys):
         i_orig = float(objective_I(f, 2, 2.0))
         ft, lam, ratio = scale_to_feasible(f, cs)
         worst_feas = max(worst_feas, abs(ft.mass - 1.0),
-                         abs(lp_norm_real(ft, 2.0) - M))
+                         abs(ft.lp_mass(2.0) - M))
         i_new = float(objective_I(ft, 2, 2.0))
         worst_rel = max(worst_rel, abs(i_new - float(ratio) * i_orig)
                         / max(abs(i_new), 1e-300))
@@ -207,8 +207,8 @@ def test_criterion_5_scaling_identity_suite(rng, capsys):
     for _ in range(10):
         f = _random_step_density_exact(rng)
         ft, lam, ratio = scale_to_feasible(f, cs_exact)
-        exact_ok = exact_ok and ft.integral_all() == 1 \
-            and ft.lp_norm_int(2) == Fraction(1, 2) \
+        exact_ok = exact_ok and ft.mass == 1 \
+            and ft.lp_mass(2) == Fraction(1, 2) \
             and objective_I(ft, 2, 2) == ratio * objective_I(f, 2, 2)
 
     ok = worst_feas < 1e-9 and worst_rel < 1e-9 and exact_ok

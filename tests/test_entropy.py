@@ -14,12 +14,11 @@ from renyiconv.entropy import (
     exact_gengauss_p2_for_lp_mass,
     gengauss,
     gengauss_for_lp_mass,
-    lp_mass,
     objective_I,
     renyi_entropy,
     scale_to_feasible,
 )
-from renyiconv.grid import GridFunction, lp_norm_real, sample
+from renyiconv.grid import GridFunction, sample
 from renyiconv.piecewise import PiecewisePoly, Polynomial
 
 
@@ -63,10 +62,10 @@ class TestEntropyFunctionals:
 
     def test_lp_mass_exact_vs_grid(self):
         f = PiecewisePoly.single(Polynomial([Fraction(3, 4), 0, Fraction(-3, 4)]), -1, 1)
-        exact = lp_mass(f, 2)
+        exact = f.lp_mass(2)
         assert isinstance(exact, Fraction)
         g = sample(f, 1e-3)
-        assert lp_mass(g, 2.0) == pytest.approx(float(exact), rel=1e-5)
+        assert g.lp_mass(2.0) == pytest.approx(float(exact), rel=1e-5)
 
     def test_objective_uniform_exact_third(self):
         f = PiecewisePoly.indicator(-1, 1, Fraction(1, 2))
@@ -77,6 +76,15 @@ class TestEntropyFunctionals:
         exact = objective_I(f, 2, 2)
         g = sample(f, 1e-3)
         assert float(objective_I(g, 2, 2.0)) == pytest.approx(float(exact), rel=1e-5)
+
+    def test_piecewise_needs_integer_exponent(self):
+        # no silent grid fallback: the exact lane refuses p = 3/2
+        f = PiecewisePoly.indicator(-1, 1, Fraction(1, 2))
+        for call in (lambda: objective_I(f, 2, 1.5),
+                     lambda: renyi_entropy(f, 1.5),
+                     lambda: scale_to_feasible(f, ConstraintSet(M=0.5, p=1.5, n=2))):
+            with pytest.raises(ValueError, match="integer p"):
+                call()
 
     def test_scaling_invariance_of_entropy_shift(self):
         # h_p(f dilated by lam, renormalized) = h_p(f) + log lam
@@ -92,8 +100,8 @@ class TestScaleToFeasible:
         f = PiecewisePoly.indicator(-2, 2, Fraction(3, 2))  # mass 6, |f|_2^2 = 9
         cs = ConstraintSet(M=0.25, p=2, n=2)
         ft, lam, ratio = scale_to_feasible(f, cs)
-        assert ft.integral_all() == 1
-        assert ft.lp_norm_int(2) == Fraction(1, 4)
+        assert ft.mass == 1
+        assert ft.lp_mass(2) == Fraction(1, 4)
         assert objective_I(ft, 2, 2) == ratio * objective_I(f, 2, 2)
 
     def test_exact_rational_lambda_p3(self):
@@ -103,15 +111,15 @@ class TestScaleToFeasible:
         cs = ConstraintSet(M=Fraction(1, 4), p=3, n=2)
         ft, lam, ratio = scale_to_feasible(f, cs)
         assert lam == 2
-        assert ft.integral_all() == 1
-        assert ft.lp_norm_int(3) == Fraction(1, 4)
+        assert ft.mass == 1
+        assert ft.lp_mass(3) == Fraction(1, 4)
 
     def test_grid_case(self):
         g = GridFunction(-1.0, 1e-3, np.full(2001, 0.7))
         cs = ConstraintSet(M=0.4, p=2.0, n=2)
         ft, lam, ratio = scale_to_feasible(g, cs)
         assert ft.mass == pytest.approx(1.0, abs=1e-9)
-        assert lp_norm_real(ft, 2.0) == pytest.approx(0.4, abs=1e-9)
+        assert ft.lp_mass(2.0) == pytest.approx(0.4, abs=1e-9)
 
     def test_zero_mass_rejected(self):
         with pytest.raises((ZeroMass, ValueError)):
@@ -124,7 +132,7 @@ class TestScaleToFeasible:
             i_orig = float(objective_I(f, 2, 2.0))
             ft, lam, ratio = scale_to_feasible(f, cs)
             assert ft.mass == pytest.approx(1.0, abs=1e-9)
-            assert lp_norm_real(ft, 2.0) == pytest.approx(0.5, abs=1e-9)
+            assert ft.lp_mass(2.0) == pytest.approx(0.5, abs=1e-9)
             i_new = float(objective_I(ft, 2, 2.0))
             assert i_new == pytest.approx(float(ratio) * i_orig, rel=1e-9)
 
@@ -133,8 +141,8 @@ class TestScaleToFeasible:
         for _ in range(10):
             f = rand_step_density(rng, exact=True)
             ft, lam, ratio = scale_to_feasible(f, cs)
-            assert ft.integral_all() == 1
-            assert ft.lp_norm_int(2) == Fraction(2, 5)
+            assert ft.mass == 1
+            assert ft.lp_mass(2) == Fraction(2, 5)
             assert objective_I(ft, 2, 2) == ratio * objective_I(f, 2, 2)
 
 
@@ -146,8 +154,8 @@ class TestGeneralizedGaussian:
     def test_alpha_exact_symbolic_p2(self):
         alpha, poly = exact_gengauss_p2(Fraction(1))
         assert alpha == Fraction(3, 4)
-        assert poly.integral_all() == 1
-        assert poly.lp_norm_int(2) == Fraction(3, 5)
+        assert poly.mass == 1
+        assert poly.lp_mass(2) == Fraction(3, 5)
 
     def test_unit_mass_various_p(self):
         for p in (1.5, 2.0, 3.0, 4.5):
@@ -158,7 +166,7 @@ class TestGeneralizedGaussian:
     def test_lp_mass_closed_form_vs_grid(self):
         gg = gengauss(1.5, 2.5)
         g = gg.to_grid(1e-4)
-        assert lp_norm_real(g, 2.5) == pytest.approx(gg.lp_mass(2.5), rel=1e-6)
+        assert g.lp_mass(2.5) == pytest.approx(gg.lp_mass(2.5), rel=1e-6)
 
     def test_for_lp_mass(self):
         gg = gengauss_for_lp_mass(0.5, 2.0)
@@ -166,8 +174,8 @@ class TestGeneralizedGaussian:
 
     def test_exact_p2_for_lp_mass(self):
         alpha, poly = exact_gengauss_p2_for_lp_mass(Fraction(1, 2))
-        assert poly.integral_all() == 1
-        assert poly.lp_norm_int(2) == Fraction(1, 2)
+        assert poly.mass == 1
+        assert poly.lp_mass(2) == Fraction(1, 2)
 
     def test_entropy_matches_grid(self):
         gg = gengauss(1.0, 2.0)

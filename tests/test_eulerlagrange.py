@@ -19,7 +19,7 @@ from renyiconv.euler_lagrange import (
     young_bound_check,
     young_exponent,
 )
-from renyiconv.grid import GridFunction, lp_norm_real, rearrange_symmetric_decreasing
+from renyiconv.grid import GridFunction, rearrange_symmetric_decreasing
 from renyiconv.solver import SolverConfig, run_fixed_point
 
 
@@ -44,7 +44,7 @@ def rand_symmetric_density(rng, dx=0.01):
 class TestElResidual:
     def test_converged_solution_is_nearly_stationary(self, solution):
         q = solution.f
-        m_nat = lp_norm_real(q, 2.0) / q.mass ** 2
+        m_nat = q.lp_mass(2.0) / q.mass ** 2
         rep = el_residual(q, 2, 2.0, m_nat)
         assert rep.sup_residual < 1e-6
         assert rep.l2_residual < 1e-6
@@ -57,7 +57,7 @@ class TestElResidual:
 
     def test_domain_excludes_vanishing_tail(self, solution):
         q = solution.f
-        m_nat = lp_norm_real(q, 2.0) / q.mass ** 2
+        m_nat = q.lp_mass(2.0) / q.mass ** 2
         rep = el_residual(q, 2, 2.0, m_nat)
         lo, hi = rep.domain
         assert lo > float(q.x0)
@@ -66,9 +66,18 @@ class TestElResidual:
 
     def test_gengauss_is_far_from_stationary(self):
         g = gengauss(1.0, 2.0).to_grid(1e-3)
-        m = lp_norm_real(g, 2.0) / g.mass ** 2
+        m = g.lp_mass(2.0) / g.mass ** 2
         rep = el_residual(g, 2, 2.0, m)
         assert rep.sup_residual > 1e-3
+
+    @pytest.mark.parametrize("n, p, M, message", [
+        (1, 2.0, 0.5, "n must be an integer >= 2"),
+        (2, 1.0, 0.5, "p must exceed 1"),
+        (2, 2.0, 0.0, "M must be positive"),
+    ])
+    def test_rejects_bad_constraints(self, solution, n, p, M, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            el_residual(solution.f, n, p, M)
 
     def test_zero_density_rejected(self):
         z = GridFunction(-1.0, 0.1, np.zeros(21))
@@ -88,7 +97,7 @@ class TestElResidual:
 
     def test_reflection_invariance_for_symmetric_input(self, solution):
         q = solution.f
-        m_nat = lp_norm_real(q, 2.0) / q.mass ** 2
+        m_nat = q.lp_mass(2.0) / q.mass ** 2
         rep1 = el_residual(q, 2, 2.0, m_nat)
         from renyiconv.grid import reflect
         rep2 = el_residual(reflect(q), 2, 2.0, m_nat)

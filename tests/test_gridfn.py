@@ -12,16 +12,14 @@ from renyiconv.grid import (
     MismatchedSpacing,
     _smooth_length,
     convolve_grid,
-    lp_norm_real,
     power_real,
     read_csv,
     rearrange_symmetric_decreasing,
     reflect,
     sample,
-    self_convolution_grid,
     symmetric_grid,
 )
-from renyiconv.piecewise import PiecewisePoly, Polynomial
+from renyiconv.piecewise import PiecewisePoly, Polynomial, self_convolution
 
 
 def bump(dx=1e-2):
@@ -50,7 +48,7 @@ class TestGridFunction:
     def test_node_index(self):
         g = GridFunction(-1.0, 0.25, np.ones(9))
         assert g.node_index(0.0) == 4
-        assert g.value_at(0.5) == 1.0
+        assert g(0.5) == 1.0
         with pytest.raises(ValueError):
             g.node_index(0.1)
 
@@ -78,7 +76,26 @@ class TestSampling:
     def test_sample_mass_close_to_exact(self):
         f = PiecewisePoly.single(Polynomial([1, 0, -1]), -1, 1)
         g = sample(f, 1e-3)
-        assert g.mass == pytest.approx(float(f.integral_all()), rel=1e-6)
+        assert g.mass == pytest.approx(float(f.mass), rel=1e-6)
+
+
+class TestSharedInterface:
+    """An exact density and its samples answer the same questions."""
+
+    def test_same_answers_in_both_lanes(self):
+        f = PiecewisePoly.single(Polynomial([1, 0, -1]), -1, 1)
+        g = sample(f, 1e-3)
+        assert g.support == (-1.0, 1.0) and f.support == (-1, 1)
+        assert g(0) == f(0) == 1
+        assert g(0.5) == float(f(Fraction(1, 2)))
+        for fh, gh in ((f, g), (f * Fraction(3), g * 3.0), (f.dilate(2), g.dilate(2.0)),
+                       (f.convolve(f), g.convolve(g))):
+            assert gh.mass == pytest.approx(float(fh.mass), rel=1e-5)
+            assert gh.lp_mass(2) == pytest.approx(float(fh.lp_mass(2)), rel=1e-5)
+
+    def test_convolve_is_the_plain_pair(self, rng):
+        f, g = GridFunction(-0.5, 0.01, rng.uniform(0, 1, 700)), GridFunction(0.2, 0.01, rng.uniform(0, 1, 300))
+        assert np.array_equal(f.convolve(g).values, convolve_grid(f, g).values)
 
 
 class TestConvolveGrid:
@@ -108,7 +125,7 @@ class TestConvolveGrid:
         f = PiecewisePoly.single(Polynomial([1, 0, -1]), -1, 1)
         K = sc(f, 3)
         dx = 1e-3
-        Kg = self_convolution_grid(sample(f, dx), 3)
+        Kg = self_convolution(sample(f, dx), 3)
         xs = [-2.5, -1.0, -0.25, 0.0, 0.5, 1.75]
         for x in xs:
             i = Kg.node_index(x)
@@ -256,8 +273,8 @@ class TestConvolveProduct:
 class TestNormsAndPowers:
     def test_lp_norm_real_int_case(self):
         g = bump(1e-3)
-        exact = PiecewisePoly.single(Polynomial([1, 0, -1]), -1, 1).lp_norm_int(2)
-        assert lp_norm_real(g, 2.0) == pytest.approx(float(exact), rel=1e-6)
+        exact = PiecewisePoly.single(Polynomial([1, 0, -1]), -1, 1).lp_mass(2)
+        assert g.lp_mass(2.0) == pytest.approx(float(exact), rel=1e-6)
 
     def test_power_real(self):
         g = GridFunction(0.0, 1.0, np.array([0.0, 4.0, 9.0]))
@@ -278,7 +295,7 @@ class TestRearrangement:
             r = rearrange_symmetric_decreasing(g)
             assert r.mass == pytest.approx(g.mass, rel=1e-12)
             for p in (2.0, 3.0, 1.5):
-                assert lp_norm_real(r, p) == pytest.approx(lp_norm_real(g, p), rel=1e-12)
+                assert r.lp_mass(p) == pytest.approx(g.lp_mass(p), rel=1e-12)
 
     def test_result_is_symmetric_decreasing(self, rng):
         g = GridFunction(-1.0, 0.02, rng.uniform(0, 1, 101))

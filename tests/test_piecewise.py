@@ -104,7 +104,7 @@ class TestPiecewisePolyBasics:
 
     def test_integral_and_mass(self):
         f = indicator(0, 3, Fraction(1, 3))
-        assert f.integral_all() == 1
+        assert f.mass == 1
         assert f.integral(1, 2) == Fraction(1, 3)
         assert f.integral(-5, 1) == Fraction(1, 3)
 
@@ -112,7 +112,7 @@ class TestPiecewisePolyBasics:
         f = indicator()
         g = f.dilate(Fraction(3, 2))
         assert g.support == (Fraction(-3, 2), Fraction(3, 2))
-        assert g.integral_all() == Fraction(3, 2) * f.integral_all()
+        assert g.mass == Fraction(3, 2) * f.mass
         assert g.eval(Fraction(5, 4)) == 1
 
     def test_reflect_translate(self):
@@ -125,7 +125,7 @@ class TestPiecewisePolyBasics:
         f = indicator(-2, 2)
         g = f.restrict(-1, 1)
         assert g.support == (-1, 1)
-        assert g.integral_all() == 2
+        assert g.mass == 2
 
     def test_pointwise_algebra(self):
         f = indicator(-1, 1)
@@ -140,7 +140,7 @@ class TestPiecewisePolyBasics:
         f = PiecewisePoly.single(Polynomial([1, 1]), 0, 1)
         sq = f.power_int(2)
         assert sq.eval(HALF) == Fraction(9, 4)
-        assert sq.integral_all() == Fraction(7, 3)
+        assert sq.mass == Fraction(7, 3)
 
     def test_nonnegativity_guard(self):
         bad = PiecewisePoly.single(Polynomial([Fraction(-1, 100), 0, 1]), -1, 1)
@@ -150,8 +150,8 @@ class TestPiecewisePolyBasics:
 
     def test_lp_norm_int(self):
         f = indicator(-1, 1, HALF)
-        assert f.lp_norm_int(2) == HALF
-        assert f.lp_norm_int(3) == Fraction(1, 4)
+        assert f.lp_mass(2) == HALF
+        assert f.lp_mass(3) == Fraction(1, 4)
 
 
 class TestConvolution:
@@ -186,7 +186,7 @@ class TestConvolution:
     def test_mass_multiplies(self):
         f = PiecewisePoly.single(Polynomial([1, 0, -1]), -1, 1)
         g = indicator(0, 3, Fraction(2, 5))
-        assert convolve(f, g).integral_all() == f.integral_all() * g.integral_all()
+        assert convolve(f, g).mass == f.mass * g.mass
 
     def test_translation_equivariance(self):
         f = indicator()
@@ -226,15 +226,15 @@ class TestConvolution:
             h, gr = f.convolve(g), g.reflect()
             sums = sorted({a + b for a in f.breakpoints for b in g.breakpoints})
             for x in sums + [(lo + hi) / 2 for lo, hi in zip(sums, sums[1:])]:
-                assert h.eval(x) == (f * gr.translate(x)).integral_all()
+                assert h.eval(x) == (f * gr.translate(x)).mass
 
     def test_with_reflection_adjoint(self):
         # int f (T(g) * h) == int (f * g) h for compact supports
         f = PiecewisePoly.single(Polynomial([1, 1]), 0, 1)
         g = PiecewisePoly.single(Polynomial([2, 0, -1]), -1, 1)
         h = indicator(0, 2)
-        lhs = (f * convolve(g.reflect(), h)).integral_all()
-        rhs = (convolve(f, g) * h).integral_all()
+        lhs = (f * convolve(g.reflect(), h)).mass
+        rhs = (convolve(f, g) * h).mass
         assert lhs == rhs
 
 

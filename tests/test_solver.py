@@ -8,7 +8,7 @@ import pytest
 
 from renyiconv.entropy import ConstraintSet
 from renyiconv.euler_lagrange import stationarity_kernel
-from renyiconv.grid import GridFunction, lp_norm_real, sample, self_convolution_grid
+from renyiconv.grid import GridFunction, sample
 from renyiconv.piecewise import PiecewisePoly, Polynomial, convolve, self_convolution
 from renyiconv.solver import (
     FixedPointSolution,
@@ -194,7 +194,7 @@ class TestGridIteration:
         for f in (f0, iterate_once(f0).f):
             assert np.array_equal(f.values, f.values[::-1])
             general = stationarity_kernel(f, 2, 2.0)
-            special = self_convolution_grid(f, 3)
+            special = self_convolution(f, 3)
             i = special.node_index(-1.0)
             assert len(general) == len(f)
             assert general.x0 == pytest.approx(special.nodes[i], abs=1e-12)
@@ -221,7 +221,7 @@ def solution():
 class TestConsistency:
 
     def test_deviations_small(self, solution):
-        lp2 = lp_norm_real(solution.f, 2.0)
+        lp2 = solution.f.lp_mass(2.0)
         m_nat = lp2 / solution.f.mass ** 2
         rep = consistency_with_el(solution, ConstraintSet(M=m_nat, p=2.0, n=2))
         assert rep.dev_a < 1e-4

@@ -1,8 +1,13 @@
-"""Source layout rules that the benchmark's per-layer attribution relies on.
+"""Source layout rules.
 
 The traced benchmark charges the transform sizes it observes to the next
 grid.convolve_grid span, so a transform taken anywhere else would be
 billed to the wrong call.
+
+PiecewisePoly and GridFunction answer the same questions (mass, lp_mass,
+convolve, dilate, scaling, values, support), so code outside the two
+density modules and the solver's kernel choice has no reason to ask
+which one it holds.
 """
 import ast
 import pathlib
@@ -11,6 +16,8 @@ import renyiconv
 
 SRC = pathlib.Path(renyiconv.__file__).parent
 FFT_OWNER = ("grid.py", "convolve_grid")
+DENSITY_TYPES = {"PiecewisePoly", "GridFunction"}
+DENSITY_TYPE_OWNERS = {"piecewise.py", "grid.py", "solver.py"}
 
 
 def fft_references(source: str) -> list[tuple[int, str]]:
@@ -61,3 +68,36 @@ def test_finder_sees_every_spelling():
         "        return numpy.fft.irfft(x)\n"
     )
     assert fft_references(src) == [(1, ""), (2, ""), (3, ""), (5, "f"), (8, "C")]
+
+
+def density_type_checks(source: str) -> list[int]:
+    """Lines of every isinstance(_, T) whose T names a density class,
+    alone, in a tuple, in a union or through a module attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "isinstance" and len(node.args) == 2:
+            names = {n.id if isinstance(n, ast.Name) else n.attr
+                     for n in ast.walk(node.args[1]) if isinstance(n, (ast.Name, ast.Attribute))}
+            if names & DENSITY_TYPES:
+                found.append(node.lineno)
+    return found
+
+
+def test_no_density_type_checks_outside_owners():
+    hits = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+            if path.name not in DENSITY_TYPE_OWNERS for line in density_type_checks(path.read_text())]
+    assert not hits, "isinstance on a density class outside its owners: " + ", ".join(hits)
+
+
+def test_density_finder_sees_every_spelling():
+    src = (
+        "isinstance(f, PiecewisePoly)\n"
+        "isinstance(f, (int, GridFunction))\n"
+        "isinstance(f, _grid.GridFunction)\n"
+        "isinstance(f, PiecewisePoly | GridFunction)\n"
+        "isinstance(f, Fraction)\n"
+        "def g(f):\n"
+        "    return isinstance(f, GridFunction)\n"
+    )
+    assert density_type_checks(src) == [1, 2, 3, 4, 7]
