@@ -8,8 +8,10 @@ the quadratic bump, `gengauss` prints the normalized power density, and
 `compare` pits the converged fixed point against the generalized Gaussian
 on the same constraint set.
 
-Every command writes its outputs plus a manifest.json into --out.  Output
-is data only (JSON and CSV); manifests carry no timestamps so identical
+Every command writes into --out through one _OutDir, which records each
+file it writes; when the command returns, main() adds a manifest.json that
+lists exactly those files (none if the command wrote nothing).  Output is
+data only (JSON and CSV); manifests carry no timestamps so identical
 configurations reproduce identical bytes.  All writes go through a
 temp-file-and-rename so readers never observe partial files.
 """
@@ -60,34 +62,28 @@ def _atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _write_json(path: str, obj) -> None:
-    _atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _write_manifest(out_dir: str, command: str, config: dict, outputs: list[str]) -> None:
-    manifest = {
-        "command": command,
-        "config": config,
-        "versions": {"renyiconv": __version__},
-        "outputs": sorted(outputs),
-    }
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
-
-
-def _config_echo(args: argparse.Namespace) -> dict:
-    cfg = {}
-    for k, v in sorted(vars(args).items()):
-        if k in ("func", "command"):
-            continue
-        cfg[k] = v
-    return cfg
-
-
 def _write_plot_csv(path: str, xs: np.ndarray, vals: np.ndarray) -> None:
     lines = ["x,value"]
     for x, v in zip(xs, vals):
         lines.append(f"{x:.17g},{v:.17g}")
     _atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+class _OutDir:
+    """The --out directory, created once; records every file written."""
+
+    def __init__(self, path: str):
+        os.makedirs(path, exist_ok=True)
+        self.path = path
+        self.written: set[str] = set()
+
+    def json(self, name: str, obj) -> None:
+        _atomic_write_text(os.path.join(self.path, name), json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        self.written.add(name)
+
+    def csv(self, name: str, xs: np.ndarray, vals: np.ndarray) -> None:
+        _write_plot_csv(os.path.join(self.path, name), xs, vals)
+        self.written.add(name)
 
 
 def _sample_exact_on_unit(f: PiecewisePoly) -> GridFunction:
@@ -110,7 +106,7 @@ def _exact_iterate_json(j: int, f: PiecewisePoly) -> dict:
     return doc
 
 
-def cmd_iterate(args: argparse.Namespace) -> int:
+def cmd_iterate(args: argparse.Namespace, out: _OutDir) -> int:
     if args.steps < 0:
         raise ValueError("--steps must be nonnegative")
     exact = args.mode == "exact"
@@ -119,33 +115,23 @@ def cmd_iterate(args: argparse.Namespace) -> int:
     # grid iterates are compared node by node and interpolated for the plot
     sample = _sample_exact_on_unit if exact else (lambda g: g)
     fs = sample(f)
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    outputs: list[str] = []
     step_log: list[dict] = []
 
     def write_iterate(j: int, f, fs: GridFunction) -> None:
         if exact:
-            _write_json(os.path.join(out, f"f{j}.json"), _exact_iterate_json(j, f))
-            outputs.append(f"f{j}.json")
-        vals = fs.values if exact else _sample_grid_on_unit(f)
-        _write_plot_csv(os.path.join(out, f"f{j}.csv"), PLOT_XS, vals)
-        outputs.append(f"f{j}.csv")
+            out.json(f"f{j}.json", _exact_iterate_json(j, f))
+        out.csv(f"f{j}.csv", PLOT_XS, fs.values if exact else _sample_grid_on_unit(f))
 
     write_iterate(0, f, fs)
     for record, f, fs in iterations(f, fs, sample, args.steps):
         step_log.append({"step": record.iteration, "sup_step": f"{record.sup_step:.17g}"})
         write_iterate(record.iteration, f, fs)
 
-    _write_json(os.path.join(out, "steps.json"), step_log)
-    outputs.append("steps.json")
-    _write_manifest(out, "iterate", _config_echo(args), outputs)
+    out.json("steps.json", step_log)
     return 0
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
-    out = args.out
-    os.makedirs(out, exist_ok=True)
+def cmd_solve(args: argparse.Namespace, out: _OutDir) -> int:
     config = SolverConfig(
         mode=args.mode,
         n=args.n,
@@ -172,50 +158,39 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "clip_was_active": sol.clip_was_active,
         "converged": exit_code == 0,
     }
-    _write_json(os.path.join(out, "solution.json"), doc)
+    out.json("solution.json", doc)
     if args.mode == "exact":
         vals = _sample_exact_on_unit(sol.f).values
     else:
         vals = _sample_grid_on_unit(sol.f)
-    _write_plot_csv(os.path.join(out, "solution.csv"), PLOT_XS, vals)
-    _write_json(os.path.join(out, "history.json"),
-                [{"step": r.iteration, "sup_step": f"{r.sup_step:.17g}"} for r in sol.history])
-    _write_manifest(out, "solve", _config_echo(args),
-                    ["solution.json", "solution.csv", "history.json"])
+    out.csv("solution.csv", PLOT_XS, vals)
+    out.json("history.json", [{"step": r.iteration, "sup_step": f"{r.sup_step:.17g}"} for r in sol.history])
     return exit_code
 
 
-def cmd_el_residual(args: argparse.Namespace) -> int:
-    out = args.out
-    os.makedirs(out, exist_ok=True)
+def cmd_el_residual(args: argparse.Namespace, out: _OutDir) -> int:
     try:
         q = _grid.read_csv(args.input)
     except (OSError, ValueError) as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return 2
     rep = el_residual(q, args.n, args.p, args.M)
-    _write_json(os.path.join(out, "el_residual.json"), rep.to_json_dict())
-    _write_manifest(out, "el-residual", _config_echo(args), ["el_residual.json"])
+    out.json("el_residual.json", rep.to_json_dict())
     return 0
 
 
-def cmd_counterexample(args: argparse.Namespace) -> int:
-    out = args.out
-    os.makedirs(out, exist_ok=True)
+def cmd_counterexample(args: argparse.Namespace, out: _OutDir) -> int:
     rep = counterexample_check()
     doc = rep.to_json_dict()
     if args.grid_check:
         est = estimate_x6_grid(dx=args.dx)
         doc["x6_grid_estimate"] = f"{est:.17g}"
         doc["x6_grid_rel_error"] = f"{abs(est - float(rep.x6_coefficient)) / abs(float(rep.x6_coefficient)):.17g}"
-    _write_json(os.path.join(out, "counterexample.json"), doc)
-    _write_manifest(out, "counterexample", _config_echo(args), ["counterexample.json"])
+    out.json("counterexample.json", doc)
     return 0
 
 
-def cmd_gengauss(args: argparse.Namespace) -> int:
-    out = args.out
-    os.makedirs(out, exist_ok=True)
+def cmd_gengauss(args: argparse.Namespace, out: _OutDir) -> int:
     if args.M is not None:
         gg = gengauss_for_lp_mass(args.M, args.p)
     else:
@@ -230,15 +205,12 @@ def cmd_gengauss(args: argparse.Namespace) -> int:
         "lp_mass": f"{gg.lp_mass(gg.p):.17g}",
         "renyi_entropy": f"{gg.renyi_entropy():.17g}",
     }
-    _write_json(os.path.join(out, "gengauss.json"), doc)
-    _write_plot_csv(os.path.join(out, "gengauss.csv"), gq.nodes, gq.values)
-    _write_manifest(out, "gengauss", _config_echo(args), ["gengauss.json", "gengauss.csv"])
+    out.json("gengauss.json", doc)
+    out.csv("gengauss.csv", gq.nodes, gq.values)
     return 0
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    out = args.out
-    os.makedirs(out, exist_ok=True)
+def cmd_compare(args: argparse.Namespace, out: _OutDir) -> int:
     n, p = args.n, args.p
     config = SolverConfig(mode="grid", n=n, p=p, dx=args.dx, tol=args.tol)
     try:
@@ -280,8 +252,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "hp_sum_gengauss": f"{hp_gg:.17g}",
         "ordering_ok": ordering_ok,
     }
-    _write_json(os.path.join(out, "compare.json"), doc)
-    _write_manifest(out, "compare", _config_echo(args), ["compare.json"])
+    out.json("compare.json", doc)
     if not ordering_ok:
         print("error: fixed point did not beat the generalized Gaussian", file=sys.stderr)
         return 4
@@ -353,13 +324,23 @@ def main(argv: Optional[list[str]] = None) -> int:
         print("warning: RENYI_SEED is ignored; commands are deterministic", file=sys.stderr)
     parser = build_parser()
     args = parser.parse_args(argv)
+    out = _OutDir(args.out)
     try:
-        return args.func(args)
+        code = args.func(args, out)
     except ValueError as exc:
         # invalid flag values and unusable input; the library's input
         # errors (ZeroMass, InfeasibleInput, ...) all subclass ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if out.written:
+        config = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+        out.json("manifest.json", {
+            "command": args.command,
+            "config": config,
+            "versions": {"renyiconv": __version__},
+            "outputs": sorted(out.written),
+        })
+    return code
 
 
 if __name__ == "__main__":

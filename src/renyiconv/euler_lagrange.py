@@ -26,6 +26,7 @@ from .grid import GridFunction
 from .piecewise import PiecewisePoly, Polynomial, format_rational, self_convolution
 
 Q_THRESHOLD_REL = 1e-9
+X6_STENCIL_STEP = 0.05
 
 
 class InfeasibleInput(ValueError):
@@ -187,21 +188,21 @@ def counterexample_check() -> CounterexampleReport:
     )
 
 
-def estimate_x6_grid(dx: float = 1e-4, stencil_step: float = 0.05) -> float:
+def estimate_x6_grid(dx: float = 1e-4) -> float:
     """Numeric estimate of the x^6 coefficient of the triple self
     convolution of (3/4)(1 - x^2)_+ at the origin.
 
     Samples the density on a grid of spacing dx, convolves numerically,
     and applies the second-order central stencil for the 6th derivative
-    with step stencil_step (a multiple of dx, wide enough that the h^6
+    with step X6_STENCIL_STEP (a multiple of dx, wide enough that the h^6
     in the denominator does not amplify rounding noise).
     """
     if not dx > 0:
         raise ValueError("dx must be positive")
-    ratio = stencil_step / dx
+    ratio = X6_STENCIL_STEP / dx
     k = round(ratio)
     if abs(ratio - k) > 1e-9 or k < 1:
-        raise ValueError("stencil_step must be an integer multiple of dx")
+        raise ValueError(f"dx must divide the stencil step {X6_STENCIL_STEP}")
     alpha = Fraction(3, 4)
     g = PiecewisePoly.single(Polynomial([alpha, 0, -alpha]), -1, 1)
     gs = _grid.sample(g, dx)
@@ -209,7 +210,7 @@ def estimate_x6_grid(dx: float = 1e-4, stencil_step: float = 0.05) -> float:
     c = K.node_index(0.0)
     w = np.array([1.0, -6.0, 15.0, -20.0, 15.0, -6.0, 1.0])
     window = K.values[c - 3 * k: c + 3 * k + 1: k]
-    d6 = float(w @ window) / stencil_step ** 6
+    d6 = float(w @ window) / X6_STENCIL_STEP ** 6
     return d6 / 720.0
 
 

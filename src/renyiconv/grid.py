@@ -24,6 +24,7 @@ NEGATIVE_CLAMP = 1e-12
 # convolution roundoff clamp, relative to the largest output value
 _CONV_CLAMP_REL = 1e-10
 _SPACING_RTOL = 1e-12
+_SYMMETRY_RTOL = 1e-9
 
 
 def _lattice_index(x: float, x0: float, dx: float, size: int) -> int:
@@ -44,9 +45,11 @@ class AsymmetricGrid(ValueError):
     """Raised when an operation requires a grid symmetric about 0."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Nonnegative samples on the uniform grid x0 + k*dx, k = 0..n-1."""
+    """Nonnegative samples on the uniform grid x0 + k*dx, k = 0..n-1.
+
+    Equal when x0, dx and every value are equal, like PiecewisePoly."""
 
     x0: float
     dx: float
@@ -72,6 +75,14 @@ class GridFunction:
     def __len__(self) -> int:
         return self.values.size
 
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, GridFunction) and self.x0 == other.x0 and self.dx == other.dx
+                and np.array_equal(self.values, other.values))
+
+    def __hash__(self) -> int:
+        # + 0.0 turns -0.0 into 0.0, which array_equal counts as equal
+        return hash((self.x0, self.dx, (self.values + 0.0).tobytes()))
+
     @property
     def nodes(self) -> np.ndarray:
         return self.x0 + self.dx * np.arange(self.values.size)
@@ -95,13 +106,13 @@ class GridFunction:
             raise ValueError("lp_mass requires p >= 1")
         return self.dx * math.fsum(np.power(self.values, float(p)).tolist())
 
-    def is_symmetric_grid(self, rtol: float = 1e-9) -> bool:
+    def is_symmetric_grid(self) -> bool:
         """True when the node set is symmetric about 0 (odd count)."""
         n = self.values.size
         if n % 2 == 0:
             return False
         target = -(n - 1) / 2 * self.dx
-        return abs(self.x0 - target) <= rtol * max(1.0, abs(target))
+        return abs(self.x0 - target) <= _SYMMETRY_RTOL * max(1.0, abs(target))
 
     def node_index(self, x: float) -> int:
         """Index of the node at x; raises if x is not a node."""
@@ -173,7 +184,7 @@ def _smooth_length(n: int) -> int:
 
 
 def convolve_grid(f: GridFunction, g: GridFunction, *more: GridFunction,
-                  lo: float | None = None, hi: float | None = None, method: str = "auto") -> GridFunction:
+                  lo: float | None = None, hi: float | None = None) -> GridFunction:
     """Discrete convolution of two or more factors on a common spacing:
     (f*g)[i] = dx * sum_j f[j] g[i-j], and dx^(k-1) times the plain sum
     for k factors.
@@ -182,16 +193,15 @@ def convolve_grid(f: GridFunction, g: GridFunction, *more: GridFunction,
     sum(len) - k + 1 nodes.  A window [lo, hi] (both nodes of that
     lattice, each defaulting to its end) returns only the nodes in it.
 
-    The transform route takes each distinct sample array's rfft once at
-    one cyclic length L, multiplies the spectra in place and inverts
-    once.  A window starting at linear index w0 with W nodes is
-    alias-free when L >= max(n_out - w0, w0 + W) and L covers the
-    longest factor; L is the smallest 2^a 3^b 5^c that does.  A plain
-    pair with no window keeps the power of two covering n_out, so its
-    bits stay what they were: exact-lane results downstream are pinned.
-    Roundoff can leave tiny negatives on nodes whose true value is 0;
-    they are clamped relative to the window's peak.  The direct route
-    (auto below 513 output nodes) chains np.convolve and slices.
+    Each distinct sample array's rfft is taken once at one cyclic length
+    L, the spectra are multiplied in place and inverted once.  A window
+    starting at linear index w0 with W nodes is alias-free when
+    L >= max(n_out - w0, w0 + W) and L covers the longest factor; L is
+    the smallest 2^a 3^b 5^c that does.  A plain pair with no window
+    keeps the power of two covering n_out, so its bits stay what they
+    were: exact-lane results downstream are pinned.  Roundoff can leave
+    tiny negatives on nodes whose true value is 0; they are clamped
+    relative to the window's peak.
     """
     factors = (f, g) + more
     for h in factors[1:]:
@@ -204,35 +214,25 @@ def convolve_grid(f: GridFunction, g: GridFunction, *more: GridFunction,
     if w1 < w0:
         raise ValueError(f"empty window [{lo}, {hi}]")
     width = w1 - w0 + 1
-    if method == "auto":
-        method = "fft" if n_out > 512 else "direct"
-    if method == "direct":
-        out = f.values
-        for h in factors[1:]:
-            out = np.convolve(out, h.values)
-        out = out[w0:w1 + 1]
-    elif method == "fft":
-        if len(factors) == 2 and width == n_out:
-            n_fft = 1 << (n_out - 1).bit_length()
-        else:
-            n_fft = _smooth_length(max(n_out - w0, w0 + width, *(h.values.size for h in factors)))
-        multiplicity = {}
-        for h in factors:
-            multiplicity.setdefault(id(h.values), [h.values, 0])[1] += 1
-        prod = None
-        for vals, k in multiplicity.values():
-            spec = np.fft.rfft(vals, n_fft)
-            if prod is None:
-                prod, k = (spec.copy() if k > 1 else spec), k - 1
-            for _ in range(k):
-                prod *= spec
-        del spec
-        out = np.fft.irfft(prod, n_fft)[w0:w1 + 1]
-        del prod
-        clamp = _CONV_CLAMP_REL * max(1.0, float(np.abs(out).max()))
-        out[(out < 0) & (out > -clamp)] = 0.0
+    if len(factors) == 2 and width == n_out:
+        n_fft = 1 << (n_out - 1).bit_length()
     else:
-        raise ValueError(f"unknown method {method!r}")
+        n_fft = _smooth_length(max(n_out - w0, w0 + width, *(h.values.size for h in factors)))
+    multiplicity = {}
+    for h in factors:
+        multiplicity.setdefault(id(h.values), [h.values, 0])[1] += 1
+    prod = None
+    for vals, k in multiplicity.values():
+        spec = np.fft.rfft(vals, n_fft)
+        if prod is None:
+            prod, k = (spec.copy() if k > 1 else spec), k - 1
+        for _ in range(k):
+            prod *= spec
+    del spec
+    out = np.fft.irfft(prod, n_fft)[w0:w1 + 1]
+    del prod
+    clamp = _CONV_CLAMP_REL * max(1.0, float(np.abs(out).max()))
+    out[(out < 0) & (out > -clamp)] = 0.0
     return GridFunction(x0 + w0 * dx, dx, dx ** (len(factors) - 1) * out)
 
 
@@ -278,13 +278,15 @@ def read_csv(path) -> GridFunction:
     uniform spacing."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if [h.strip().lower() for h in header[:2]] != ["x", "value"]:
             raise ValueError("expected header row 'x,value'")
         xs, vs = [], []
         for row in reader:
             if not row:
                 continue
+            if len(row) < 2:
+                raise ValueError(f"line {reader.line_num} has fewer than two fields")
             xs.append(float(row[0]))
             vs.append(float(row[1]))
     if len(xs) < 2:

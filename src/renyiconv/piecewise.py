@@ -21,6 +21,10 @@ from typing import Iterable, Iterator, Union
 
 RationalLike = Union[Fraction, int, str]
 
+# assert_nonnegative: samples per piece, bisection steps per sign change
+_NONNEG_SAMPLES = 64
+_NONNEG_BISECT_STEPS = 30
+
 
 class NegativeDensity(ValueError):
     """Raised when an operation requiring a nonnegative function detects a
@@ -380,10 +384,6 @@ class PiecewisePoly:
     # ------------------------------------------------------------------
     # calculus
 
-    def derivative(self, order: int = 1) -> "PiecewisePoly":
-        """Piecewise formal derivative (no distributional terms at jumps)."""
-        return PiecewisePoly(self.breakpoints, [p.derivative(order) for p in self.pieces])
-
     def integral(self, lo: RationalLike, hi: RationalLike) -> Fraction:
         """Exact definite integral over [lo, hi]."""
         lo, hi = as_fraction(lo), as_fraction(hi)
@@ -401,7 +401,7 @@ class PiecewisePoly:
         """Integral over the whole support."""
         return self.integral(*self.support)
 
-    def assert_nonnegative(self, samples: int = 64, bisect_steps: int = 30) -> None:
+    def assert_nonnegative(self) -> None:
         """Check f >= 0 on the support; raise NegativeDensity otherwise.
 
         Each piece is sign-checked on a uniform rational sample; interior
@@ -412,18 +412,18 @@ class PiecewisePoly:
         for a, b, p in self.intervals():
             if p.is_zero():
                 continue
-            step = (b - a) / (samples - 1)
-            xs = [a + k * step for k in range(samples)]
+            step = (b - a) / (_NONNEG_SAMPLES - 1)
+            xs = [a + k * step for k in range(_NONNEG_SAMPLES)]
             vals = [p(x) for x in xs]
             if any(v < 0 for v in vals):
                 raise NegativeDensity("negative value detected on a sample point")
             d = p.derivative()
             signs = [d(x) for x in xs]
-            for k in range(samples - 1):
+            for k in range(_NONNEG_SAMPLES - 1):
                 if signs[k] > 0 and signs[k + 1] < 0 or signs[k] < 0 and signs[k + 1] > 0:
                     lo, hi = xs[k], xs[k + 1]
                     flo = signs[k]
-                    for _ in range(bisect_steps):
+                    for _ in range(_NONNEG_BISECT_STEPS):
                         mid = (lo + hi) / 2
                         fmid = d(mid)
                         if fmid == 0:
@@ -500,19 +500,8 @@ class PiecewisePoly:
             "pieces": [[format_rational(c) for c in p.coeffs] for p in self.pieces],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PiecewisePoly":
-        return cls(
-            [Fraction(b) for b in data["breakpoints"]],
-            [Polynomial([Fraction(c) for c in coeffs]) for coeffs in data["pieces"]],
-        )
-
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PiecewisePoly":
-        return cls.from_json_dict(json.loads(text))
 
 
 def convolve(f: PiecewisePoly, g: PiecewisePoly) -> PiecewisePoly:

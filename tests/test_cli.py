@@ -162,6 +162,13 @@ class TestElResidual:
         assert run(["el-residual", "--input", str(tmp_path / "none.csv"),
                     "--M", "0.5", "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("text", ["", "x,value\n0,1\n0.1\n"], ids=["empty", "short-row"])
+    def test_malformed_input_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        assert run(["el-residual", "--input", str(path), "--M", "0.5", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+
 
 class TestCounterexample:
     def test_writes_verdict(self, tmp_path):
@@ -238,6 +245,41 @@ class TestCompare:
         assert run(["compare", "--M", "0.5", "--out", out]) == 4
         d = load(os.path.join(out, "compare.json"))
         assert d["ordering_ok"] is False
+
+
+def test_manifest_lists_exactly_the_files_written(tmp_path, monkeypatch):
+    """Every subcommand: the manifest names the files in --out, and there is
+    none when a command wrote nothing."""
+    def outputs(name):
+        return sorted(f for f in os.listdir(tmp_path / name) if f != "manifest.json")
+
+    solution = str(tmp_path / "solve" / "solution.csv")
+    for name, argv, code in [
+        ("iterate-exact", ["iterate", "--mode", "exact", "--steps", "1"], 0),
+        ("iterate-grid", ["iterate", "--mode", "grid", "--steps", "2", "--dx", "0.01"], 0),
+        ("solve", ["solve", "--dx", "0.01"], 0),
+        ("solve-budget", ["solve", "--dx", "0.01", "--max-iter", "1"], 3),
+        ("el-residual", ["el-residual", "--input", solution, "--M", "0.5"], 0),
+        ("counterexample", ["counterexample"], 0),
+        ("gengauss", ["gengauss", "--M", "0.5"], 0),
+        ("compare", ["compare", "--dx", "0.01", "--M", "0.5"], 0),
+    ]:
+        assert run(argv + ["--out", str(tmp_path / name)]) == code
+        man = load(tmp_path / name / "manifest.json")
+        assert man["command"] == argv[0]
+        assert man["outputs"] == outputs(name) != []
+
+    for name, argv, code in [
+        ("compare-no-fixed-point", ["compare", "--dx", "0.01", "--tol", "1e-30"], 3),
+        ("el-residual-unreadable", ["el-residual", "--input", str(tmp_path / "none.csv"), "--M", "0.5"], 2),
+    ]:
+        assert run(argv + ["--out", str(tmp_path / name)]) == code
+        assert os.listdir(tmp_path / name) == []
+
+    real = cli.objective_I
+    monkeypatch.setattr(cli, "objective_I", lambda f, n, p: 1.0 / float(real(f, n, p)))
+    assert run(["compare", "--dx", "0.01", "--M", "0.5", "--out", str(tmp_path / "compare-lost")]) == 4
+    assert load(tmp_path / "compare-lost" / "manifest.json")["outputs"] == outputs("compare-lost")
 
 
 class TestMisc:

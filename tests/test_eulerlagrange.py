@@ -143,7 +143,7 @@ class TestCounterexample:
 
     def test_grid_cross_check_rejects_misaligned_step(self):
         with pytest.raises(ValueError):
-            estimate_x6_grid(dx=1e-4, stencil_step=1.5e-4 * 1.7)
+            estimate_x6_grid(dx=0.03)
 
 
 class TestYoung:

@@ -243,13 +243,6 @@ class TestSerialization:
         assert format_rational(Fraction(-6, 10)) == "-3/5"
         assert format_rational(Fraction(4)) == "4/1"
 
-    def test_json_round_trip(self):
-        f = PiecewisePoly(
-            [Fraction(-1), Fraction(1, 3), 2],
-            [Polynomial([1, Fraction(-1, 7)]), Polynomial([0, 0, Fraction(22, 7)])],
-        )
-        assert PiecewisePoly.from_json(f.to_json()) == f
-
     def test_json_uses_num_den_strings(self):
         d = indicator().to_json_dict()
         assert d["breakpoints"] == ["-1/1", "1/1"]
