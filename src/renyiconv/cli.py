@@ -23,7 +23,6 @@ import math
 import os
 import sys
 import tempfile
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -87,9 +86,11 @@ class _OutDir:
 
 
 def _sample_exact_on_unit(f: PiecewisePoly) -> GridFunction:
-    """f at the rational plot nodes k/1000 - 1, each rounded once."""
+    """f at the rational plot nodes k/1000, k = -1000..1000, each the
+    correctly rounded float of the exact value."""
     half = (PLOT_NODES - 1) // 2
-    return GridFunction(-1.0, 1.0 / half, [float(f.eval(Fraction(k, half) - 1)) for k in range(PLOT_NODES)])
+    vals = np.fromiter(f.sample_lattice(range(-half, half + 1), half), float, count=PLOT_NODES)
+    return GridFunction(-1.0, 1.0 / half, vals)
 
 
 def _sample_grid_on_unit(g: GridFunction) -> np.ndarray:
@@ -324,7 +325,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         print("warning: RENYI_SEED is ignored; commands are deterministic", file=sys.stderr)
     parser = build_parser()
     args = parser.parse_args(argv)
-    out = _OutDir(args.out)
+    try:
+        out = _OutDir(args.out)
+    except OSError as exc:
+        print(f"error: cannot use --out {args.out}: {exc}", file=sys.stderr)
+        return 2
     try:
         code = args.func(args, out)
     except ValueError as exc:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -152,15 +151,25 @@ def symmetric_grid(values: Sequence[float], dx: float) -> GridFunction:
 
 
 def sample(f: PiecewisePoly, dx: float) -> GridFunction:
-    """Sample f at uniform nodes covering its support."""
+    """Sample f at the float nodes x_k = lo + k*dx covering its support,
+    lo = float(support start).
+
+    Each value is the correctly rounded float of f's exact value at the
+    node x_k itself (a float is an exact dyadic rational).  The nodes go
+    to PiecewisePoly.sample_lattice as integer numerators over the
+    largest of their power-of-two denominators, generated twice rather
+    than stored.
+    """
     if not (dx > 0):
         raise ValueError("dx must be positive")
     lo, hi = float(f.support[0]), float(f.support[1])
     n = max(2, int(math.ceil((hi - lo) / dx - 1e-9)) + 1)
-    vals = np.empty(n)
-    for k in range(n):
-        x = lo + k * dx
-        vals[k] = float(f.eval(Fraction(x)))
+
+    def ratios():
+        return ((lo + k * dx).as_integer_ratio() for k in range(n))
+
+    den = max(q for _, q in ratios())
+    vals = np.fromiter(f.sample_lattice((m * (den // q) for m, q in ratios()), den), float, count=n)
     return GridFunction(lo, dx, vals)
 
 

@@ -10,13 +10,18 @@ The hot kernels work on integer numerators over a common denominator:
 Horner's rule for evaluation, and for convolution the truncated-power
 ("jump") form of de Boor, A Practical Guide to Splines, with integer Taylor
 shifts (von zur Gathen and Gerhard, ISSAC 1997); see PiecewisePoly.convolve.
+
+Floats leave this module through one route, PiecewisePoly.sample_lattice:
+at nodes m / den sharing one denominator, each value is an integer Horner
+sum divided once by an integer, which CPython rounds correctly, so it is
+the float of the exact value without building a Fraction per node.
 """
 from __future__ import annotations
 
 import json
 from bisect import bisect_right
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, inf, lcm
 from typing import Iterable, Iterator, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -85,16 +90,35 @@ class Polynomial:
         x = as_fraction(x)
         if not self.coeffs:
             return Fraction(0)
-        if self._ints is None:
-            den = lcm(*(c.denominator for c in self.coeffs))
-            object.__setattr__(self, "_ints", ([c.numerator * (den // c.denominator) for c in self.coeffs], den))
-        nums, den = self._ints
+        nums, den = self._integers()
         p, q = x.numerator, x.denominator
         acc, qk = nums[-1], 1
         for n in reversed(nums[:-1]):
             qk *= q
             acc = acc * p + n * qk
         return Fraction(acc, den * qk)
+
+    def _integers(self) -> tuple[list[int], int]:
+        """(numerators, common denominator) of the coefficients: coefficient
+        k is numerators[k] / denominator.  Made on first call and kept."""
+        if self._ints is None:
+            den = lcm(*(c.denominator for c in self.coeffs))
+            object.__setattr__(self, "_ints", ([c.numerator * (den // c.denominator) for c in self.coeffs], den))
+        return self._ints
+
+    def _lattice_form(self, den: int) -> tuple[list[int], int, bool]:
+        """(terms, divisor, even): p(m / den) is the Horner value of terms
+        (highest degree first) at m, or at m^2 when even, over divisor.
+
+        Coefficient k = n_k / c becomes n_k den^(d-k) over c den^d; with
+        every odd coefficient zero, only the even terms are kept."""
+        if not self.coeffs:
+            return [], 1, False
+        nums, cden = self._integers()
+        d = len(nums) - 1
+        even = not any(nums[1::2])
+        ks = range(d, -1, -2 if even else -1)
+        return [nums[k] * den ** (d - k) for k in ks], cden * den ** d, even
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
@@ -295,6 +319,41 @@ class PiecewisePoly:
         return self._poly_at(as_fraction(x))(x)
 
     __call__ = eval
+
+    def sample_lattice(self, numerators: Iterable[int], den: int) -> Iterator[float]:
+        """Floats of f at the nodes m / den, for non-decreasing integers m
+        (consumed one at a time; a decrease raises ValueError) and den >= 1.
+
+        Each value is float(self.eval(Fraction(m, den))) bit for bit: the
+        unreduced Horner numerator over its denominator, one int/int true
+        division, which CPython rounds correctly, subnormals included, and
+        which raises OverflowError beyond the float range, as float() of
+        the reduced Fraction does.  A piece is brought to the shared
+        denominator once, when a node first falls on it.  The walk finds
+        pieces by integer thresholds: m / den >= b iff m >= ceil(b den).
+        """
+        bps = self.breakpoints
+        starts = [-(-b.numerator * den // b.denominator) for b in bps[:-1]]
+        end = bps[-1].numerator * den // bps[-1].denominator
+        forms: list = [None] * len(self.pieces)
+        i, last, prev = 0, len(self.pieces) - 1, -inf
+        for m in numerators:
+            if m < prev:
+                raise ValueError(f"lattice nodes must be non-decreasing: {m} after {prev}")
+            prev = m
+            if m < starts[0] or m > end:
+                yield 0.0
+                continue
+            while i < last and m >= starts[i + 1]:
+                i += 1
+            if forms[i] is None:
+                forms[i] = self.pieces[i]._lattice_form(den)
+            terms, divisor, even = forms[i]
+            x = m * m if even else m
+            acc = 0
+            for t in terms:
+                acc = acc * x + t
+            yield acc / divisor
 
     def __eq__(self, other) -> bool:
         return (

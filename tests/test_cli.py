@@ -44,6 +44,21 @@ class TestExactBytes:
         assert sha256(os.path.join(out, "f3.csv")) == \
             "14fe0dcf017daacb66131b37f45badd2f2e002865103b4ebc7bc99e7671433fc"
 
+    def test_iterate_exact_steps_4(self, tmp_path):
+        # the degree-80 iterate; digests as recorded in perfbench/reference.json
+        out = str(tmp_path / "o")
+        assert run(["iterate", "--mode", "exact", "--steps", "4", "--out", out]) == 0
+        assert sha256(os.path.join(out, "f4.csv")) == \
+            "e2cbb5e8a09dc6f91db0035a85c3df2da6b6a42a290fcbb9fec8b65fd085509f"
+
+    def test_solve_exact_default(self, tmp_path):
+        out = str(tmp_path / "o")
+        assert run(["solve", "--mode", "exact", "--out", out]) == 0
+        assert sha256(os.path.join(out, "solution.json")) == \
+            "056ff68ee0b9c522d2a7716345050ce2d2b83bcbbb1f63edc802977ac83e1ff6"
+        assert sha256(os.path.join(out, "solution.csv")) == \
+            "e2cbb5e8a09dc6f91db0035a85c3df2da6b6a42a290fcbb9fec8b65fd085509f"
+
     def test_solve_exact_max_iter_3(self, tmp_path):
         out = str(tmp_path / "o")
         assert run(["solve", "--mode", "exact", "--max-iter", "3", "--out", out]) == 0
@@ -71,6 +86,19 @@ def test_invalid_flag_values_exit_2(tmp_path, argv):
     assert proc.returncode == 2
     assert any(line.startswith("error: ") for line in proc.stderr.splitlines())
     assert "Traceback" not in proc.stderr
+
+
+def test_out_naming_a_file_exits_2(tmp_path):
+    path = tmp_path / "taken"
+    path.write_text("")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(renyiconv.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "renyiconv.cli", "counterexample", "--out", str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: cannot use --out {path}: ")
+    assert "Traceback" not in proc.stderr
+    assert path.read_text() == ""
 
 
 class TestIterate:

@@ -1,8 +1,12 @@
-"""Exact piecewise-polynomial layer: algebra, convolution, serialization."""
+"""Exact piecewise-polynomial layer: algebra, convolution, sampling,
+serialization."""
+import sys
 from fractions import Fraction
+from math import ceil, floor, lcm
 
 import pytest
 
+from renyiconv import cli, grid
 from renyiconv.piecewise import (
     NegativeDensity,
     PiecewisePoly,
@@ -236,6 +240,103 @@ class TestConvolution:
         lhs = (f * convolve(g.reflect(), h)).mass
         rhs = (convolve(f, g) * h).mass
         assert lhs == rhs
+
+
+def rand_sampled_piecewise(rng):
+    """Up to five pieces of degree <= 9 on breakpoints in [-3, 3] with
+    denominators 1..12 (dyadic and not): each piece is zero, even
+    (odd coefficients all zero) or general with some zero coefficients,
+    so odd pieces of even degree and negative values occur."""
+    bps = set()
+    while len(bps) < 2:
+        bps = {rand_fraction(rng, 36, 12) for _ in range(int(rng.integers(2, 7)))}
+    pieces = []
+    for _ in range(len(bps) - 1):
+        kind, degree = rng.random(), int(rng.integers(0, 10))
+        cs = [rand_fraction(rng, 10**4, 10**3) if rng.random() < 0.7 else 0 for _ in range(degree + 1)]
+        if kind < 0.2:
+            cs = []
+        elif kind < 0.5:
+            cs[1::2] = [0] * len(cs[1::2])
+        pieces.append(Polynomial(cs))
+    return PiecewisePoly(sorted(bps), pieces)
+
+
+def breakpoint_nodes(f, den):
+    """Numerators m of nodes m / den just before, on (when b is a node)
+    and just after every breakpoint b."""
+    out = set()
+    for b in f.breakpoints:
+        out |= {floor(b * den) - 1, floor(b * den), ceil(b * den), ceil(b * den) + 1}
+    return out
+
+
+def reference(f, ms, den):
+    return [float(f.eval(Fraction(m, den))) for m in ms]
+
+
+class TestSampleLattice:
+    """sample_lattice gives float(f.eval(x)) bit for bit, and so do the
+    two callers, grid.sample and the CLI plot sampler."""
+
+    def test_matches_eval_on_breakpoint_lattices(self, rng, trials):
+        for _ in range(trials):
+            f = rand_sampled_piecewise(rng)
+            lo, hi = f.support
+            # a lattice with every breakpoint on it, and k/1000
+            for den in (lcm(*(b.denominator for b in f.breakpoints)) * int(rng.integers(1, 4)), 1000):
+                ms = breakpoint_nodes(f, den) | {floor(lo * den) - 3, ceil(hi * den) + 3}
+                ms |= set(rng.integers(floor(lo * den) - 2, ceil(hi * den) + 3, size=20).tolist())
+                ms = sorted(ms)
+                assert list(f.sample_lattice(ms, den)) == reference(f, ms, den)
+
+    def test_pieces_are_half_open_and_support_end_closed(self):
+        f = PiecewisePoly([0, Fraction(1, 3), 1], [Polynomial([1]), Polynomial([2])])
+        assert list(f.sample_lattice(range(-1, 5), 3)) == [0.0, 1.0, 2.0, 2.0, 2.0, 0.0]
+
+    # the callers build GridFunctions, which hold nonnegative values
+    def test_grid_sample_matches_eval_on_float_lattices(self, rng, trials):
+        for _ in range(max(1, trials // 4)):
+            f = rand_sampled_piecewise(rng).power_int(2)
+            # from a dyadic support start, dyadic steps land on dyadic
+            # breakpoints; 0.01 is not dyadic
+            for dx in (0.125, 1 / 64, 0.01):
+                g = grid.sample(f, dx)
+                xs = [g.x0 + k * dx for k in range(len(g))]
+                assert g.values.tolist() == [float(f.eval(Fraction(x))) for x in xs]
+
+    def test_plot_sampler_matches_eval_on_k_over_1000(self, rng):
+        f = rand_sampled_piecewise(rng).power_int(2).dilate(Fraction(1, 3))
+        ks = range(-1000, 1001)
+        assert cli._sample_exact_on_unit(f).values.tolist() == reference(f, ks, 1000)
+
+    def test_even_and_odd_pieces_of_one_degree(self):
+        ms = list(range(-7, 8))
+        for cs in ([Fraction(1, 3), 0, -5, 0, Fraction(2, 7)], [Fraction(1, 3), 0, -5, Fraction(-1, 9), 2]):
+            f = PiecewisePoly.single(Polynomial(cs), -2, 2)
+            assert list(f.sample_lattice(ms, 3)) == reference(f, ms, 3)
+
+    def test_subnormal_result(self):
+        f = PiecewisePoly.single(Polynomial([Fraction(1, 3 * 2**1060), Fraction(1, 2**1062)]), -1, 1)
+        vals = list(f.sample_lattice([-1, 0, 1], 5))
+        assert vals == reference(f, [-1, 0, 1], 5)
+        assert all(0 < v < sys.float_info.min for v in vals)
+
+    @pytest.mark.parametrize("cs", [[2**1100], [0, 2**1100], [1, 0, 2**1100]], ids=["even", "odd", "even-quadratic"])
+    def test_overflow_raises_in_both_paths(self, cs):
+        f = PiecewisePoly.single(Polynomial(cs), -1, 1)
+        with pytest.raises(OverflowError):
+            float(f.eval(Fraction(1, 2)))
+        with pytest.raises(OverflowError):
+            list(f.sample_lattice([1], 2))
+        with pytest.raises(OverflowError):
+            grid.sample(f, 0.5)
+        with pytest.raises(OverflowError):
+            cli._sample_exact_on_unit(f)
+
+    def test_rejects_decreasing_nodes(self):
+        with pytest.raises(ValueError):
+            list(indicator().sample_lattice([0, 2, 1], 4))
 
 
 class TestSerialization:

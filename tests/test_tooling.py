@@ -4,6 +4,10 @@ The traced benchmark charges the transform sizes it observes to the next
 grid.convolve_grid span, so a transform taken anywhere else would be
 billed to the wrong call.
 
+Exact values become floats in one place, PiecewisePoly.sample_lattice,
+which divides integers once per node instead of building a Fraction per
+node; float(f.eval(x)) elsewhere in the package would be a second route.
+
 PiecewisePoly and GridFunction answer the same questions (mass, lp_mass,
 convolve, dilate, scaling, values, support), so code outside the two
 density modules and the solver's kernel choice has no reason to ask
@@ -18,6 +22,7 @@ SRC = pathlib.Path(renyiconv.__file__).parent
 FFT_OWNER = ("grid.py", "convolve_grid")
 DENSITY_TYPES = {"PiecewisePoly", "GridFunction"}
 DENSITY_TYPE_OWNERS = {"piecewise.py", "grid.py", "solver.py"}
+FLOAT_EVAL_OWNER = "piecewise.py"
 
 
 def fft_references(source: str) -> list[tuple[int, str]]:
@@ -101,3 +106,31 @@ def test_density_finder_sees_every_spelling():
         "    return isinstance(f, GridFunction)\n"
     )
     assert density_type_checks(src) == [1, 2, 3, 4, 7]
+
+
+def float_of_eval_calls(source: str) -> list[int]:
+    """Lines of every float(<expr>.eval(...)) call."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float"
+            and node.args and isinstance(node.args[0], ast.Call)
+            and isinstance(node.args[0].func, ast.Attribute) and node.args[0].func.attr == "eval"]
+
+
+def test_exact_to_float_has_one_route():
+    hits = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+            if path.name != FLOAT_EVAL_OWNER for line in float_of_eval_calls(path.read_text())]
+    assert not hits, "float(... .eval(...)) outside piecewise.py: " + ", ".join(hits)
+
+
+def test_float_eval_finder_sees_every_spelling():
+    src = (
+        "float(f.eval(x))\n"
+        "float(self.f.eval(Fraction(k, 3)))\n"
+        "v = [float(g.eval(x)) for x in xs]\n"
+        "float(f(x))\n"
+        "f.eval(x)\n"
+        "def h(f):\n"
+        "    return float(\n"
+        "        f.eval(0))\n"
+    )
+    assert float_of_eval_calls(src) == [1, 2, 3, 7]
