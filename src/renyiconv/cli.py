@@ -14,15 +14,21 @@ lists exactly those files (none if the command wrote nothing).  Output is
 data only (JSON and CSV); manifests carry no timestamps so identical
 configurations reproduce identical bytes.  All writes go through a
 temp-file-and-rename so readers never observe partial files.
+
+Commands and the library hand over plain values; _fmt alone decides how a
+number is spelled in a result file (a Fraction as "num/den", a float to 17
+significant digits), and the CSV rows spell floats the same way.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 import tempfile
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -68,8 +74,28 @@ def _write_plot_csv(path: str, xs: np.ndarray, vals: np.ndarray) -> None:
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _fmt(obj):
+    """The one output number rule: a Fraction becomes the string "num/den",
+    a float the string of its 17 significant digits; bool, int, str and
+    None pass through, and dicts, lists and tuples are formatted element by
+    element (a tuple becomes a list)."""
+    if isinstance(obj, Fraction):
+        return format_rational(obj)
+    if isinstance(obj, float):
+        return f"{obj:.17g}"
+    if isinstance(obj, dict):
+        return {k: _fmt(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_fmt(v) for v in obj]
+    return obj
+
+
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 class _OutDir:
-    """The --out directory, created once; records every file written."""
+    """The --out directory, created once; records every result file written."""
 
     def __init__(self, path: str):
         os.makedirs(path, exist_ok=True)
@@ -77,7 +103,7 @@ class _OutDir:
         self.written: set[str] = set()
 
     def json(self, name: str, obj) -> None:
-        _atomic_write_text(os.path.join(self.path, name), json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        _atomic_write_text(os.path.join(self.path, name), _json_text(_fmt(obj)))
         self.written.add(name)
 
     def csv(self, name: str, xs: np.ndarray, vals: np.ndarray) -> None:
@@ -98,12 +124,10 @@ def _sample_grid_on_unit(g: GridFunction) -> np.ndarray:
 
 
 def _exact_iterate_json(j: int, f: PiecewisePoly) -> dict:
-    doc: dict = {"step": j, "pieces": f.to_json_dict()}
-    pieces = list(f.intervals())
-    if len(pieces) == 1:
-        lo, hi, poly = pieces[0]
-        doc["support"] = [format_rational(lo), format_rational(hi)]
-        doc["coefficients"] = [format_rational(c) for c in poly.coeffs]
+    doc: dict = {"step": j, "pieces": {"breakpoints": f.breakpoints, "pieces": [p.coeffs for p in f.pieces]}}
+    if len(f.pieces) == 1:
+        doc["support"] = f.support
+        doc["coefficients"] = f.pieces[0].coeffs
     return doc
 
 
@@ -125,7 +149,7 @@ def cmd_iterate(args: argparse.Namespace, out: _OutDir) -> int:
 
     write_iterate(0, f, fs)
     for record, f, fs in iterations(f, fs, sample, args.steps):
-        step_log.append({"step": record.iteration, "sup_step": f"{record.sup_step:.17g}"})
+        step_log.append({"step": record.iteration, "sup_step": record.sup_step})
         write_iterate(record.iteration, f, fs)
 
     out.json("steps.json", step_log)
@@ -151,11 +175,11 @@ def cmd_solve(args: argparse.Namespace, out: _OutDir) -> int:
 
     doc = {
         "mode": args.mode,
-        "a": f"{float(sol.a):.17g}" if args.mode == "grid" else format_rational(sol.a),
-        "b": f"{float(sol.b):.17g}" if args.mode == "grid" else format_rational(sol.b),
+        "a": sol.a,
+        "b": sol.b,
         "iterations": sol.iterations,
-        "final_step_sup": f"{sol.final_step_sup:.17g}",
-        "el_residual_sup": f"{sol.el_residual_sup:.17g}",
+        "final_step_sup": sol.final_step_sup,
+        "el_residual_sup": sol.el_residual_sup,
         "clip_was_active": sol.clip_was_active,
         "converged": exit_code == 0,
     }
@@ -165,7 +189,7 @@ def cmd_solve(args: argparse.Namespace, out: _OutDir) -> int:
     else:
         vals = _sample_grid_on_unit(sol.f)
     out.csv("solution.csv", PLOT_XS, vals)
-    out.json("history.json", [{"step": r.iteration, "sup_step": f"{r.sup_step:.17g}"} for r in sol.history])
+    out.json("history.json", [{"step": r.iteration, "sup_step": r.sup_step} for r in sol.history])
     return exit_code
 
 
@@ -176,17 +200,17 @@ def cmd_el_residual(args: argparse.Namespace, out: _OutDir) -> int:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return 2
     rep = el_residual(q, args.n, args.p, args.M)
-    out.json("el_residual.json", rep.to_json_dict())
+    out.json("el_residual.json", rep._asdict())
     return 0
 
 
 def cmd_counterexample(args: argparse.Namespace, out: _OutDir) -> int:
     rep = counterexample_check()
-    doc = rep.to_json_dict()
+    doc = rep._asdict()
     if args.grid_check:
         est = estimate_x6_grid(dx=args.dx)
-        doc["x6_grid_estimate"] = f"{est:.17g}"
-        doc["x6_grid_rel_error"] = f"{abs(est - float(rep.x6_coefficient)) / abs(float(rep.x6_coefficient)):.17g}"
+        doc["x6_grid_estimate"] = est
+        doc["x6_grid_rel_error"] = abs(est - float(rep.x6_coefficient)) / abs(float(rep.x6_coefficient))
     out.json("counterexample.json", doc)
     return 0
 
@@ -199,12 +223,12 @@ def cmd_gengauss(args: argparse.Namespace, out: _OutDir) -> int:
     gq = gg.to_grid(args.dx)
     half = 1.0 / math.sqrt(gg.beta)
     doc = {
-        "p": f"{gg.p:.17g}",
-        "beta": f"{gg.beta:.17g}",
-        "alpha": f"{gg.alpha:.17g}",
-        "support": [f"{-half:.17g}", f"{half:.17g}"],
-        "lp_mass": f"{gg.lp_mass(gg.p):.17g}",
-        "renyi_entropy": f"{gg.renyi_entropy():.17g}",
+        "p": gg.p,
+        "beta": gg.beta,
+        "alpha": gg.alpha,
+        "support": [-half, half],
+        "lp_mass": gg.lp_mass(gg.p),
+        "renyi_entropy": gg.renyi_entropy(),
     }
     out.json("gengauss.json", doc)
     out.csv("gengauss.csv", gq.nodes, gq.values)
@@ -243,14 +267,14 @@ def cmd_compare(args: argparse.Namespace, out: _OutDir) -> int:
     hp_gg = -math.log(i_gg) / (p - 1.0)
     ordering_ok = i_fp > i_gg
     doc = {
-        "M": f"{M:.17g}",
+        "M": M,
         "n": n,
-        "p": f"{p:.17g}",
-        "I_fixed_point": f"{i_fp:.17g}",
-        "I_gengauss": f"{i_gg:.17g}",
-        "margin": f"{i_fp - i_gg:.17g}",
-        "hp_sum_fixed_point": f"{hp_fp:.17g}",
-        "hp_sum_gengauss": f"{hp_gg:.17g}",
+        "p": p,
+        "I_fixed_point": i_fp,
+        "I_gengauss": i_gg,
+        "margin": i_fp - i_gg,
+        "hp_sum_fixed_point": hp_fp,
+        "hp_sum_gengauss": hp_gg,
         "ordering_ok": ordering_ok,
     }
     out.json("compare.json", doc)
@@ -260,7 +284,10 @@ def cmd_compare(args: argparse.Namespace, out: _OutDir) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and shared by every
+    later main() in the process."""
     parser = argparse.ArgumentParser(
         prog="renyiconv",
         description="Fixed-point solver and certificates for the convolution entropy problem.",
@@ -323,8 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     if os.environ.get("RENYI_SEED") is not None:
         print("warning: RENYI_SEED is ignored; commands are deterministic", file=sys.stderr)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         out = _OutDir(args.out)
     except OSError as exc:
@@ -338,13 +364,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if out.written:
+        # the config echo keeps the flag values as parsed, not as _fmt spells them
         config = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
-        out.json("manifest.json", {
+        _atomic_write_text(os.path.join(out.path, "manifest.json"), _json_text({
             "command": args.command,
             "config": config,
             "versions": {"renyiconv": __version__},
             "outputs": sorted(out.written),
-        })
+        }))
     return code
 
 

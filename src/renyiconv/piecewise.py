@@ -18,7 +18,6 @@ the float of the exact value without building a Fraction per node.
 """
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from fractions import Fraction
 from math import factorial, inf, lcm
@@ -549,18 +548,6 @@ class PiecewisePoly:
             run = [r + t for r, t in zip(run, _taylor_shift(taylor, -s))]
             pieces.append(Polynomial([Fraction(c * scale ** k, den) for k, c in enumerate(run)]))
         return PiecewisePoly([Fraction(s, scale) for s in cuts], pieces)
-
-    # ------------------------------------------------------------------
-    # serialization
-
-    def to_json_dict(self) -> dict:
-        return {
-            "breakpoints": [format_rational(b) for b in self.breakpoints],
-            "pieces": [[format_rational(c) for c in p.coeffs] for p in self.pieces],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def convolve(f: PiecewisePoly, g: PiecewisePoly) -> PiecewisePoly:

@@ -186,7 +186,7 @@ def _sup_diff(fs: GridFunction, gs: GridFunction) -> float:
     return float(np.max(np.abs(fs.values[:m] - gs.values[:m])))
 
 
-def _affine_residual_sup(fs: GridFunction, K: GridFunction, a, b, p: float) -> float:
+def _affine_residual_sup(fs: GridFunction, K: GridFunction, a: float, b: float, p: float) -> float:
     """sup over the nodes of fs of |K - a fs^(p-1) - b|: the fixed-point
     equation of the update whose kernel K gave a and b."""
     i_lo, i_hi = K.node_index(fs.x0), K.node_index(fs.x_end)
@@ -223,7 +223,7 @@ def run_fixed_point(config: SolverConfig) -> FixedPointSolution:
     # measured on the grid, against the triple convolution of the samples
     K = _kernel_of(f, config.n, config.p)
     a, b = K(0) - K(1), K(1)
-    el_sup = _affine_residual_sup(fs, self_convolution(fs, 3) if exact else K, a, b, config.p)
+    el_sup = _affine_residual_sup(fs, self_convolution(fs, 3) if exact else K, float(a), float(b), config.p)
     sup_step = records[-1].sup_step if records else 0.0
     solution = FixedPointSolution(
         f=f,

@@ -108,6 +108,7 @@ class TestIterate:
         d = load(os.path.join(out, "f0.json"))
         assert d["coefficients"] == ["1/1"]
         assert d["support"] == ["-1/1", "1/1"]
+        assert d["pieces"] == {"breakpoints": ["-1/1", "1/1"], "pieces": [["1/1"]]}
 
     def test_exact_steps_write_json_and_csv(self, tmp_path):
         out = str(tmp_path / "o")
@@ -205,6 +206,8 @@ class TestCounterexample:
         d = load(os.path.join(out, "counterexample.json"))
         assert d["verdict"] is True
         assert d["x6_coefficient"] == "-9/640"
+        assert d["affine_fit_a"] == "1553/4480"
+        assert 0.01 < float(d["sup_affine_residual"]) < 0.05
         assert d["indicator_identity_holds"] is True
 
     def test_grid_check_field(self, tmp_path):
@@ -308,6 +311,20 @@ def test_manifest_lists_exactly_the_files_written(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "objective_I", lambda f, n, p: 1.0 / float(real(f, n, p)))
     assert run(["compare", "--dx", "0.01", "--M", "0.5", "--out", str(tmp_path / "compare-lost")]) == 4
     assert load(tmp_path / "compare-lost" / "manifest.json")["outputs"] == outputs("compare-lost")
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
+    run(["gengauss", "--out", str(tmp_path / "first")])
+    built = []
+    real_init = cli.argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counting_init)
+    assert run(["gengauss", "--out", str(tmp_path / "second")]) == 0
+    assert built == []
 
 
 class TestMisc:

@@ -20,6 +20,7 @@ from renyiconv.euler_lagrange import (
     young_exponent,
 )
 from renyiconv.grid import GridFunction, rearrange_symmetric_decreasing
+from renyiconv.piecewise import PiecewisePoly, Polynomial, self_convolution
 from renyiconv.solver import SolverConfig, run_fixed_point
 
 
@@ -130,11 +131,13 @@ class TestCounterexample:
         # a least-squares affine image of the bump still misses the x^6 term
         assert report.x6_coefficient != 0
 
-    def test_json_serialization(self, report):
-        d = report.to_json_dict()
-        assert d["x6_coefficient"] == "-9/640"
-        assert d["verdict"] is True
-        float(d["sup_affine_residual"])
+    def test_sup_affine_residual_is_max_over_exact_samples(self, report):
+        g = PiecewisePoly.single(Polynomial([Fraction(3, 4), 0, Fraction(-3, 4)]), -1, 1)
+        K = self_convolution(g, 3)
+        a, b = report.affine_fit_a, report.affine_fit_b
+        exact = max(abs(K.eval(Fraction(i, 1000)) - a * g.eval(Fraction(i, 1000)) - b)
+                    for i in range(-1000, 1001))
+        assert report.sup_affine_residual == float(exact)
 
     def test_grid_cross_check(self, report):
         est = estimate_x6_grid(dx=1e-4)

@@ -1,5 +1,6 @@
 """Fixed-point iteration: exact and grid lanes."""
 import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 from renyiconv.entropy import ConstraintSet
 from renyiconv.euler_lagrange import stationarity_kernel
 from renyiconv.grid import GridFunction, sample
-from renyiconv.piecewise import PiecewisePoly, Polynomial, convolve, self_convolution
+from renyiconv.piecewise import PiecewisePoly, Polynomial, convolve, format_rational, self_convolution
 from renyiconv.solver import (
     FixedPointSolution,
     NotConverged,
@@ -100,12 +101,17 @@ class TestExactIteration:
             f.assert_nonnegative()
 
     def test_fourth_iterate_pinned(self):
-        # sha256 of f4.to_json(), recorded with the Fraction-only convolution
-        # that the integer jump-form convolution replaced
+        # sha256 of f4's breakpoints and piece coefficients as compact
+        # "num/den" JSON, recorded with the Fraction-only convolution that
+        # the integer jump-form convolution replaced
         f = F0
         for _ in range(4):
             f = iterate_once(f).f
-        digest = hashlib.sha256(f.to_json().encode()).hexdigest()
+        canonical = json.dumps({
+            "breakpoints": [format_rational(b) for b in f.breakpoints],
+            "pieces": [[format_rational(c) for c in p.coeffs] for p in f.pieces],
+        }, sort_keys=True)
+        digest = hashlib.sha256(canonical.encode()).hexdigest()
         assert digest == "1443c0d56e464f3667ea0b868accacad7bce7c5d7b94098ae2badb8fc2155f38"
 
     def test_mixed_factor_product_yields_quartic(self):

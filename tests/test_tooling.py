@@ -12,9 +12,14 @@ PiecewisePoly and GridFunction answer the same questions (mass, lp_mass,
 convolve, dilate, scaling, values, support), so code outside the two
 density modules and the solver's kernel choice has no reason to ask
 which one it holds.
+
+Library reports and densities return plain values; cli.py alone spells
+numbers for output, so a 17-digit format spec or a to_json method
+elsewhere would be a second output format.
 """
 import ast
 import pathlib
+import re
 
 import renyiconv
 
@@ -23,6 +28,7 @@ FFT_OWNER = ("grid.py", "convolve_grid")
 DENSITY_TYPES = {"PiecewisePoly", "GridFunction"}
 DENSITY_TYPE_OWNERS = {"piecewise.py", "grid.py", "solver.py"}
 FLOAT_EVAL_OWNER = "piecewise.py"
+OUTPUT_FORMAT_OWNER = "cli.py"
 
 
 def fft_references(source: str) -> list[tuple[int, str]]:
@@ -134,3 +140,40 @@ def test_float_eval_finder_sees_every_spelling():
         "        f.eval(0))\n"
     )
     assert float_of_eval_calls(src) == [1, 2, 3, 7]
+
+
+def output_format_sites(source: str) -> list[int]:
+    """Lines of every 17g format spec (in an f-string, a format() or
+    str.format call, or a % template) and every to_json or to_json_dict
+    definition."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and re.search(r"17g", node.value):
+            found.add(node.lineno)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in ("to_json", "to_json_dict"):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_only_cli_formats_output():
+    hits = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+            if path.name != OUTPUT_FORMAT_OWNER for line in output_format_sites(path.read_text())]
+    assert not hits, "output number format outside cli.py: " + ", ".join(hits)
+
+
+def test_output_format_finder_sees_every_spelling():
+    src = (
+        'f"{x:.17g}"\n'
+        'format(x, ".17g")\n'
+        '"%.17g" % x\n'
+        '"{:.17g}".format(x)\n'
+        'f"{x:.6g} {n}"\n'
+        "class R:\n"
+        "    def to_json_dict(self):\n"
+        "        return {}\n"
+        "def to_json(f):\n"
+        "    return ''\n"
+        "def to_dict(f):\n"
+        "    return {}\n"
+    )
+    assert output_format_sites(src) == [1, 2, 3, 4, 7, 9]
