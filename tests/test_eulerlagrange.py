@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from renyiconv import cli
 from renyiconv.entropy import gengauss, objective_I
 from renyiconv.euler_lagrange import (
     CounterexampleReport,
@@ -130,6 +131,12 @@ class TestCounterexample:
         assert report.ls_fit_a != report.affine_fit_a
         # a least-squares affine image of the bump still misses the x^6 term
         assert report.x6_coefficient != 0
+
+    def test_json_serialization(self, report):
+        d = cli._fmt(report._asdict())
+        assert d["x6_coefficient"] == "-9/640"
+        assert d["verdict"] is True
+        float(d["sup_affine_residual"])
 
     def test_sup_affine_residual_is_max_over_exact_samples(self, report):
         g = PiecewisePoly.single(Polynomial([Fraction(3, 4), 0, Fraction(-3, 4)]), -1, 1)

@@ -343,3 +343,8 @@ class TestSerialization:
     def test_format_rational(self):
         assert format_rational(Fraction(-6, 10)) == "-3/5"
         assert format_rational(Fraction(4)) == "4/1"
+
+    def test_json_uses_num_den_strings(self):
+        d = cli._fmt(cli._exact_iterate_json(0, indicator()))["pieces"]
+        assert d["breakpoints"] == ["-1/1", "1/1"]
+        assert d["pieces"] == [["1/1"]]
