@@ -1,17 +1,26 @@
 """Fixed-point iteration for candidate extremizers.
 
-The update takes the triple self convolution K of the current iterate,
-renormalizes it affinely so the value at 0 is 1 and the value at 1 is 0,
-restricts to [-1, 1] and takes the positive part:
+The update takes a kernel K of the current iterate, renormalizes it
+affinely so the value at 0 is 1 and the value at 1 is 0, restricts to
+[-1, 1] and takes the positive part, raised to 1/(p-1):
 
-    f_new = ((K - K(1)) / (K(0) - K(1)))_+  on [-1, 1].
+    f_new = ((K - K(1)) / (K(0) - K(1)))_+^(1/(p-1))  on [-1, 1],
 
-Exact mode runs over rational piecewise polynomials (the n = 2, p = 2
-case); grid mode runs the same update on sampled functions and, for
-(n, p) other than (2, 2), the analogous update built from the
-first-variation kernel T(C_{n-1}(f)) * (C_n(f))^(p-1), whose fixed point
-satisfies K = a f^(p-1) + b.  That generalization is a plausible
-extension, not an established scheme.
+so a fixed point satisfies K = a f^(p-1) + b.  K is the first-variation
+kernel T(C_{n-1}(f)) * (C_n(f))^(p-1).  One kernel rule covers every
+(n, p):
+
+  - p = 2: K = C_{2n-1}(f) on f's nodes, which equals the first-variation
+    kernel for an even f.  The grid update folds K even, so every grid
+    iterate is even.  One windowed product: 2 transforms.
+  - otherwise: the first-variation kernel itself (stationarity_kernel):
+    5 transforms.
+
+Exact mode runs over rational piecewise polynomials at (n, p) = (2, 2),
+where K is the triple self convolution; grid mode runs every (n, p).
+Beyond (2, 2) the update is a plausible extension, not an established
+scheme, but no step lowers the dilation-invariant ratio
+I / (mass^((n-1)p) ||f||_p^p) beyond roundoff (tests/test_solver.py).
 
 iterate_once is the single update step and iterations the single loop;
 run_fixed_point and the CLI both consume the loop.  Both lanes run the
@@ -123,15 +132,19 @@ def initial_iterate(config: SolverConfig) -> Density:
 
 
 def _kernel_of(f: Density, n: int, p: float) -> Density:
-    """The update kernel: f*f*f for (n, p) = (2, 2), else the
-    first-variation kernel.  A grid kernel covers f's own nodes only; an
-    exact one is the whole triple self convolution."""
+    """The update kernel.  At p = 2 it is C_{2n-1}(f): one windowed
+    product, 2 transforms (one rfft, one irfft).  It equals the
+    first-variation kernel T(C_{n-1}(f)) * C_n(f) for an even f, and the
+    update makes every grid iterate even.  Otherwise it is the
+    first-variation kernel, stationarity_kernel: 5 transforms.  A grid
+    kernel covers f's own nodes only; an exact one is the whole triple
+    self convolution."""
     if isinstance(f, PiecewisePoly):
         if (n, p) != (2, 2):
             raise ValueError("exact iteration supports only n = 2, p = 2")
         return self_convolution(f, 3)
-    if (n, p) == (2, 2):
-        return _grid.convolve_grid(f, f, f, lo=f.x0, hi=f.x_end)
+    if p == 2:
+        return _grid.convolve_grid(*[f] * (2 * n - 1), lo=f.x0, hi=f.x_end)
     return stationarity_kernel(f, n, p)
 
 
@@ -148,8 +161,8 @@ def iterate_once(f: Density, n: int = 2, p: float = 2.0) -> Step:
         raise ValueError("iterate must be supported in [-1, 1]")
     K = _kernel_of(f, n, p)
     exact = isinstance(f, PiecewisePoly)
-    if not exact and np.array_equal(f.values, f.values[::-1]):
-        # even input makes K even in exact arithmetic; fold out roundoff
+    if not exact:
+        # fold K even, so every grid iterate is even and T f = f holds
         K = K.with_values(0.5 * (K.values + K.values[::-1]))
     k0, k1 = K(0), K(1)
     if k0 == k1:

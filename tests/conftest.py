@@ -17,3 +17,16 @@ def trials(request) -> int:
 @pytest.fixture
 def rng(request) -> np.random.Generator:
     return np.random.default_rng(request.config.getoption("--rng-seed"))
+
+
+@pytest.fixture
+def irfft_lengths(monkeypatch) -> list:
+    """The length of every inverse transform made during the test."""
+    seen, irfft = [], np.fft.irfft
+
+    def counted(a, n=None, *args, **kwargs):
+        seen.append(n)
+        return irfft(a, n, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", counted)
+    return seen

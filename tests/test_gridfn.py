@@ -171,18 +171,6 @@ def _factors(rng, k):
     return [a, reflect(a)] + [_factor(rng, dx, int(rng.integers(150, 400))) for _ in range(k - 2)]
 
 
-def _irfft_lengths(monkeypatch):
-    """Record the length of every inverse transform."""
-    seen, irfft = [], np.fft.irfft
-
-    def counted(a, n=None, *args, **kwargs):
-        seen.append(n)
-        return irfft(a, n, *args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "irfft", counted)
-    return seen
-
-
 class TestConvolveProduct:
     """The n-factor product, windowed or not, against np.convolve of the
     same samples, to 1e-12 relative to the peak."""
@@ -225,14 +213,13 @@ class TestConvolveProduct:
         ((600, 601), 1198, 2, 1200),
         ((1000, 10), 500, 2, 1000),
     ])
-    def test_window_at_exact_alias_bound(self, rng, monkeypatch, sizes, w0, width, bound):
+    def test_window_at_exact_alias_bound(self, rng, irfft_lengths, sizes, w0, width, bound):
         dx = 0.01
         factors = [GridFunction(-1.0, dx, rng.uniform(0, 1, m)) for m in sizes]
         ref = _chain(factors)
         x0 = sum(h.x0 for h in factors)
-        lengths = _irfft_lengths(monkeypatch)
         c = convolve_grid(*factors, lo=x0 + w0 * dx, hi=x0 + (w0 + width - 1) * dx)
-        assert lengths == [bound]
+        assert irfft_lengths == [bound]
         assert np.max(np.abs(c.values - ref[w0:w0 + width])) <= 1e-12 * ref.max()
 
     def test_transform_length_is_least_5_smooth(self):
