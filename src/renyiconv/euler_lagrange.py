@@ -56,14 +56,21 @@ class CounterexampleReport(NamedTuple):
 def stationarity_kernel(q: GridFunction, n: int, p: float) -> GridFunction:
     """T(C_{n-1}(Q)) * (C_n(Q))^(p-1), returned as K on q's own nodes.
 
-    Reflection commutes with convolution, so T(C_{n-1}(Q)) is n - 1
-    factors T(Q); C_n(Q) is one n-factor product and the kernel one
-    windowed product on [q.x0, q.x_end].  Those are the only nodes the
+    With h = C_n(Q)^(p-1), K(x) = dx sum_y C_{n-1}(Q)(y) h(x + y), so
+    K = T(C_{n-1}(Q) * T(h)): both products are powers of Q's one
+    spectrum times at most one other, and share it through a memo.  One
+    cyclic length L = 5-smooth >= n(N-1)+1 serves both (C_n in full, and
+    the window of the second product that reflects onto q's nodes), so
+    K costs 2 rffts and 2 irffts.  Those nodes are the only ones the
     fixed-point update, its final fit and el_residual read.
     """
-    cn = _grid.convolve_grid(*[q] * n)
-    tq = _grid.reflect(q)
-    return _grid.convolve_grid(*[tq] * (n - 1), _grid.power_real(cn, p - 1.0), lo=q.x0, hi=q.x_end)
+    spectra = {}
+    # a window, even the whole output, gives a pair (n = 2) the length L
+    cn = _grid.convolve_grid(*[q] * n, lo=n * q.x0, spectra=spectra)
+    th = _grid.reflect(_grid.power_real(cn, p - 1.0))
+    del cn  # not held while the second product runs
+    tk = _grid.convolve_grid(*[q] * (n - 1), th, lo=-q.x_end, hi=-q.x0, spectra=spectra)
+    return GridFunction(q.x0, q.dx, tk.values[::-1])
 
 
 def el_residual(q: GridFunction, n: int, p: float, M: float) -> ElResidualReport:

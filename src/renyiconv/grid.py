@@ -193,7 +193,8 @@ def _smooth_length(n: int) -> int:
 
 
 def convolve_grid(f: GridFunction, g: GridFunction, *more: GridFunction,
-                  lo: float | None = None, hi: float | None = None) -> GridFunction:
+                  lo: float | None = None, hi: float | None = None,
+                  spectra: dict | None = None) -> GridFunction:
     """Discrete convolution of two or more factors on a common spacing:
     (f*g)[i] = dx * sum_j f[j] g[i-j], and dx^(k-1) times the plain sum
     for k factors.
@@ -203,14 +204,22 @@ def convolve_grid(f: GridFunction, g: GridFunction, *more: GridFunction,
     lattice, each defaulting to its end) returns only the nodes in it.
 
     Each distinct sample array's rfft is taken once at one cyclic length
-    L, the spectra are multiplied in place and inverted once.  A window
-    starting at linear index w0 with W nodes is alias-free when
+    L, the spectra are multiplied and inverted once.  A window starting
+    at linear index w0 with W nodes is alias-free when
     L >= max(n_out - w0, w0 + W) and L covers the longest factor; L is
-    the smallest 2^a 3^b 5^c that does.  A plain pair with no window
-    keeps the power of two covering n_out, so its bits stay what they
-    were: exact-lane results downstream are pinned.  Roundoff can leave
-    tiny negatives on nodes whose true value is 0; they are clamped
-    relative to the window's peak.
+    the smallest 2^a 3^b 5^c that does.  A pair called with no window
+    (neither lo nor hi) keeps the power of two covering n_out, so its
+    bits stay what they were: exact-lane results downstream are pinned.
+    Roundoff can leave tiny negatives on nodes whose true value is 0;
+    they are clamped relative to the window's peak.
+
+    spectra is an optional memo owned by the caller, for products that
+    share a factor: it maps (id(values), L) to (values, rfft of values at
+    L), and holding the array keeps its id from being reused.  Spectra
+    found there are reused and never written to.  The spectrum of a
+    factor repeated in this product is added to it; that of a factor
+    used once is not, since the product overwrites it.  The memo never
+    changes a product's bits.
     """
     factors = (f, g) + more
     for h in factors[1:]:
@@ -223,20 +232,29 @@ def convolve_grid(f: GridFunction, g: GridFunction, *more: GridFunction,
     if w1 < w0:
         raise ValueError(f"empty window [{lo}, {hi}]")
     width = w1 - w0 + 1
-    if len(factors) == 2 and width == n_out:
+    if len(factors) == 2 and lo is None and hi is None:
         n_fft = 1 << (n_out - 1).bit_length()
     else:
         n_fft = _smooth_length(max(n_out - w0, w0 + width, *(h.values.size for h in factors)))
     multiplicity = {}
     for h in factors:
         multiplicity.setdefault(id(h.values), [h.values, 0])[1] += 1
-    prod = None
-    for vals, k in multiplicity.values():
-        spec = np.fft.rfft(vals, n_fft)
-        if prod is None:
-            prod, k = (spec.copy() if k > 1 else spec), k - 1
+    prod, owned = None, False
+    for key, (vals, k) in multiplicity.items():
+        hit = None if spectra is None else spectra.get((key, n_fft))
+        spec = np.fft.rfft(vals, n_fft) if hit is None else hit[1]
+        # a fresh spectrum used once is consumed: the product may take its
+        # buffer.  One used again is kept apart, and memoized if asked.
+        consumed = hit is None and k == 1
+        if hit is None and k > 1 and spectra is not None:
+            spectra[key, n_fft] = (vals, spec)
         for _ in range(k):
-            prod *= spec
+            if prod is None:
+                prod, owned = spec, consumed
+            elif owned:
+                prod *= spec
+            else:
+                prod, owned = np.multiply(prod, spec, out=spec if consumed else None), True
     del spec
     out = np.fft.irfft(prod, n_fft)[w0:w1 + 1]
     del prod

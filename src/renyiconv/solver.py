@@ -14,7 +14,7 @@ kernel T(C_{n-1}(f)) * (C_n(f))^(p-1).  One kernel rule covers every
     kernel for an even f.  The grid update folds K even, so every grid
     iterate is even.  One windowed product: 2 transforms.
   - otherwise: the first-variation kernel itself (stationarity_kernel):
-    5 transforms.
+    4 transforms, C_n and one more product sharing f's one spectrum.
 
 Exact mode runs over rational piecewise polynomials at (n, p) = (2, 2),
 where K is the triple self convolution; grid mode runs every (n, p).
@@ -136,9 +136,9 @@ def _kernel_of(f: Density, n: int, p: float) -> Density:
     product, 2 transforms (one rfft, one irfft).  It equals the
     first-variation kernel T(C_{n-1}(f)) * C_n(f) for an even f, and the
     update makes every grid iterate even.  Otherwise it is the
-    first-variation kernel, stationarity_kernel: 5 transforms.  A grid
-    kernel covers f's own nodes only; an exact one is the whole triple
-    self convolution."""
+    first-variation kernel, stationarity_kernel: 4 transforms (two
+    rffts, two irffts).  A grid kernel covers f's own nodes only; an
+    exact one is the whole triple self convolution."""
     if isinstance(f, PiecewisePoly):
         if (n, p) != (2, 2):
             raise ValueError("exact iteration supports only n = 2, p = 2")
@@ -195,8 +195,11 @@ def iterations(f: Density, fs: GridFunction, sample: Callable[[Density], GridFun
 
 
 def _sup_diff(fs: GridFunction, gs: GridFunction) -> float:
-    m = min(len(fs), len(gs))
-    return float(np.max(np.abs(fs.values[:m] - gs.values[:m])))
+    """sup |fs - gs| over their nodes; raises ValueError unless both
+    sample one node set (same dx and length, first nodes within 1e-6 dx)."""
+    if fs.dx != gs.dx or len(fs) != len(gs) or abs(fs.x0 - gs.x0) > 1e-6 * fs.dx:
+        raise ValueError("step difference needs samples on one node set")
+    return float(np.max(np.abs(fs.values - gs.values)))
 
 
 def _affine_residual_sup(fs: GridFunction, K: GridFunction, a: float, b: float, p: float) -> float:

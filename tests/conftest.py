@@ -19,14 +19,24 @@ def rng(request) -> np.random.Generator:
     return np.random.default_rng(request.config.getoption("--rng-seed"))
 
 
-@pytest.fixture
-def irfft_lengths(monkeypatch) -> list:
-    """The length of every inverse transform made during the test."""
-    seen, irfft = [], np.fft.irfft
+def _transform_lengths(monkeypatch, name: str) -> list:
+    seen, transform = [], getattr(np.fft, name)
 
     def counted(a, n=None, *args, **kwargs):
         seen.append(n)
-        return irfft(a, n, *args, **kwargs)
+        return transform(a, n, *args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "irfft", counted)
+    monkeypatch.setattr(np.fft, name, counted)
     return seen
+
+
+@pytest.fixture
+def irfft_lengths(monkeypatch) -> list:
+    """The length of every inverse transform made during the test."""
+    return _transform_lengths(monkeypatch, "irfft")
+
+
+@pytest.fixture
+def rfft_lengths(monkeypatch) -> list:
+    """The length of every forward transform made during the test."""
+    return _transform_lengths(monkeypatch, "rfft")

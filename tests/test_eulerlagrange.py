@@ -106,6 +106,27 @@ class TestElResidual:
         assert rep1.sup_residual == pytest.approx(rep2.sup_residual, rel=1e-9)
 
 
+class TestStationarityKernel:
+    @pytest.mark.parametrize("n, p", [(2, 3.0), (3, 1.5), (4, 2.0)])
+    def test_matches_direct_convolution(self, rng, n, p):
+        # an asymmetric, off-centre q: even iterates cannot tell the
+        # convolution T(C_{n-1}q) * h from the correlation the kernel
+        # computes, but el_residual's CSV inputs can
+        dx, N = 0.01, 61
+        q = GridFunction(-0.73, dx, rng.uniform(0.0, 1.0, N))
+        cnm1 = q.values
+        for _ in range(n - 2):
+            cnm1 = dx * np.convolve(cnm1, q.values)
+        h = (dx * np.convolve(cnm1, q.values)) ** (p - 1.0)
+        # T(C_{n-1}q) starts at -(n-1) q.x_end and h at n q.x0, so q's
+        # nodes start at index (n-1)(N-1) of their convolution
+        full = dx * np.convolve(cnm1[::-1], h)
+        ref = full[(n - 1) * (N - 1):(n - 1) * (N - 1) + N]
+        K = stationarity_kernel(q, n, p)
+        assert (K.x0, K.dx, len(K)) == (q.x0, q.dx, len(q))
+        assert np.max(np.abs(K.values - ref)) <= 1e-12 * ref.max()
+
+
 @pytest.fixture(scope="module")
 def report() -> CounterexampleReport:
     return counterexample_check()

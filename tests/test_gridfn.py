@@ -234,7 +234,7 @@ class TestConvolveProduct:
             assert L >= n and smooth(L)
             assert not any(smooth(m) for m in range(n, L))
 
-    def test_plain_pair_keeps_power_of_two_bits(self, rng):
+    def test_plain_pair_keeps_power_of_two_bits(self, rng, irfft_lengths):
         # the exact solve's residual and the x^6 estimate are pinned to these
         dx = 0.01
         a = GridFunction(-1.0, dx, rng.uniform(0, 1, 700))
@@ -243,7 +243,43 @@ class TestConvolveProduct:
             n_out = len(f) + len(g) - 1
             L = 1 << (n_out - 1).bit_length()
             expected = dx * np.fft.irfft(np.fft.rfft(f.values, L) * np.fft.rfft(g.values, L), L)[:n_out]
+            irfft_lengths.clear()
             assert np.array_equal(convolve_grid(f, g).values, expected)
+            assert irfft_lengths == [L]
+            # any window, even the whole output, takes the 5-smooth length
+            irfft_lengths.clear()
+            convolve_grid(f, g, lo=f.x0 + g.x0)
+            assert irfft_lengths == [_smooth_length(n_out)] and _smooth_length(n_out) < L
+
+    def test_shared_spectra_memo(self, rng, rfft_lengths):
+        # the stationarity kernel's pattern: C_2(a) in full, then a once and
+        # twice times another factor, windowed; all at the 5-smooth
+        # L = 600 >= 2N - 1
+        dx, N = 0.01, 300
+        a = GridFunction(-1.23, dx, rng.uniform(0, 1, N))
+        t = GridFunction(0.4, dx, rng.uniform(0, 1, 2 * N - 1))
+        s = GridFunction(0.1, dx, rng.uniform(0, 1, 100))
+        L = _smooth_length(2 * N - 1)
+
+        def windowed(spectra=None):
+            lo = a.x0 + t.x0 + (N - 1) * dx
+            lo2 = 2 * a.x0 + s.x0 + 98 * dx
+            return [convolve_grid(a, t, lo=lo, hi=lo + (N - 1) * dx, spectra=spectra),
+                    convolve_grid(a, a, s, lo=lo2, hi=lo2 + dx, spectra=spectra)]
+
+        plain = [convolve_grid(a, a, lo=2 * a.x0)] + windowed()
+        rfft_lengths.clear()
+        memo = {}
+        shared = [convolve_grid(a, a, lo=2 * a.x0, spectra=memo)]
+        kept = memo[id(a.values), L][1].copy()
+        shared += windowed(memo)
+        # a's spectrum is taken once; t's and s's, used once each, are not kept
+        assert rfft_lengths == [L] * 3
+        assert list(memo) == [(id(a.values), L)]
+        assert memo[id(a.values), L][0] is a.values
+        assert np.array_equal(memo[id(a.values), L][1], kept)
+        for x, y in zip(plain, shared):
+            assert x == y
 
     def test_rejects_bad_windows_and_spacing(self):
         a = GridFunction(0.0, 0.1, np.ones(5))

@@ -16,6 +16,7 @@ from renyiconv.solver import (
     NotConverged,
     SolverConfig,
     _kernel_of,
+    _sup_diff,
     consistency_with_el,
     initial_iterate,
     iterate_once,
@@ -223,6 +224,27 @@ class TestGridIteration:
         N = len(f)
         iterate_once(f, 3, 2.0)
         assert irfft_lengths == [_smooth_length(3 * (N - 1) + 1)]
+
+    @pytest.mark.parametrize("n, p", [(2, 3.0), (3, 1.5)])
+    def test_general_update_is_four_transforms(self, rfft_lengths, irfft_lengths, n, p):
+        # C_n and the second product share f's one spectrum, and both run at
+        # the 5-smooth length that holds C_n in full: 2 rffts, 2 irffts.
+        # At n = 2 and N = 201 that is 405, where a plain pair takes 512
+        f = initial_iterate(SolverConfig(mode="grid", dx=1e-2))
+        L = _smooth_length(n * (len(f) - 1) + 1)
+        iterate_once(f, n, p)
+        assert rfft_lengths == [L, L]
+        assert irfft_lengths == [L, L]
+
+    def test_step_difference_needs_one_node_set(self):
+        f = initial_iterate(SolverConfig(mode="grid", dx=1e-2))
+        g = iterate_once(f).f
+        assert _sup_diff(f, g) == np.max(np.abs(f.values - g.values))
+        for other in (GridFunction(-0.99, 0.01, g.values),
+                      GridFunction(-1.0, 0.01, g.values[:-1]),
+                      GridFunction(-1.0, 0.005, g.values)):
+            with pytest.raises(ValueError, match="node set"):
+                _sup_diff(f, other)
 
     @pytest.mark.parametrize("n, p", [(2, 2.0), (3, 2.0), (2, 3.0), (3, 1.5)])
     def test_update_output_is_even(self, n, p):
