@@ -7,7 +7,6 @@ from .piecewise import (
     NegativeDensity,
     PiecewisePoly,
     Polynomial,
-    convolve,
     self_convolution,
 )
 
@@ -17,7 +16,6 @@ __all__ = [
     "NegativeDensity",
     "PiecewisePoly",
     "Polynomial",
-    "convolve",
     "self_convolution",
     "__version__",
 ]

@@ -41,6 +41,7 @@ from .entropy import (
     gengauss,
     gengauss_for_lp_mass,
     objective_I,
+    renyi_entropy,
     scale_to_feasible,
 )
 from .euler_lagrange import counterexample_check, el_residual, estimate_x6_grid
@@ -228,7 +229,7 @@ def cmd_gengauss(args: argparse.Namespace, out: _OutDir) -> int:
         "alpha": gg.alpha,
         "support": [-half, half],
         "lp_mass": gg.lp_mass(gg.p),
-        "renyi_entropy": gg.renyi_entropy(),
+        "renyi_entropy": renyi_entropy(gg, gg.p),
     }
     out.json("gengauss.json", doc)
     out.csv("gengauss.csv", gq.nodes, gq.values)

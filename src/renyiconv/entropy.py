@@ -55,7 +55,8 @@ def _log_fraction(q: Fraction) -> float:
 
 
 def renyi_entropy(f: Density, p) -> float:
-    """h_p = -log(integral of f^p) / (p - 1), for p > 1."""
+    """h_p = -log(integral of f^p) / (p - 1), for p > 1; f may also be a
+    GeneralizedGaussian, which answers lp_mass in closed form."""
     if not float(p) > 1:
         raise ValueError("renyi_entropy requires p > 1")
     ip = f.lp_mass(p)
@@ -176,12 +177,6 @@ class GeneralizedGaussian:
         half = self.beta ** -0.5
         return (-half, half)
 
-    def value(self, x: float) -> float:
-        u = 1.0 - self.beta * x * x
-        if u <= 0:
-            return 0.0
-        return self.alpha * u ** self.q
-
     def to_grid(self, dx: float) -> GridFunction:
         if not dx > 0:
             raise ValueError("dx must be positive")
@@ -197,9 +192,6 @@ class GeneralizedGaussian:
             raise ValueError("exponent must be positive")
         log_val = r * math.log(self.alpha) - 0.5 * math.log(self.beta) + _log_beta_half(r * self.q + 1.0)
         return math.exp(log_val)
-
-    def renyi_entropy(self) -> float:
-        return -math.log(self.lp_mass(self.p)) / (self.p - 1.0)
 
 
 def gengauss(beta: float, p: float) -> GeneralizedGaussian:
@@ -223,7 +215,10 @@ def gengauss_for_lp_mass(M: float, p: float) -> GeneralizedGaussian:
     if not M > 0:
         raise ValueError("M must be positive")
     base = gengauss(1.0, p).lp_mass(p)
-    beta = (M / base) ** (2.0 / (p - 1.0))
+    try:
+        beta = (M / base) ** (2.0 / (p - 1.0))
+    except OverflowError:
+        raise ValueError(f"M = {M} at p = {p} needs a beta beyond the float range") from None
     return gengauss(beta, p)
 
 

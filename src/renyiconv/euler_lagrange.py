@@ -1,5 +1,5 @@
-"""Stationarity-equation residuals, the exact non-extremality check for
-the generalized Gaussian, and the Young / Riesz inequality checkers.
+"""Stationarity-equation residuals and the exact non-extremality check
+for the generalized Gaussian.
 
 The stationarity equation for the constrained problem reads
 
@@ -10,13 +10,15 @@ convolution, and L is the objective value of Q.  This module evaluates
 that residual on grids, and proves exactly (in rational arithmetic) that
 the p = 2 generalized Gaussian cannot satisfy the affine special case:
 its triple self convolution carries a nonzero x^6 coefficient at the
-origin, while an affine image of the Gaussian has none.
+origin, while an affine image of the Gaussian has none.  The Young and
+Riesz inequality checkers and the adjoint identity of the grid
+convolution are test instruments (tests/instruments.py).
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -196,73 +198,3 @@ def estimate_x6_grid(dx: float = 1e-4) -> float:
     window = K.values[c - 3 * k: c + 3 * k + 1: k]
     d6 = float(w @ window) / X6_STENCIL_STEP ** 6
     return d6 / 720.0
-
-
-class YoungCheck(NamedTuple):
-    lhs: float
-    rhs: float
-    holds: bool
-
-
-class RieszCheck(NamedTuple):
-    i_f: float
-    i_fstar: float
-    holds: bool
-
-
-def young_exponent(n: int, p: float) -> float:
-    """The conjugate exponent (np')' = np/(np - p + 1)."""
-    return n * p / (n * p - p + 1.0)
-
-
-def young_bound_check(gs: Sequence[GridFunction], p: float) -> YoungCheck:
-    """||g_1 * ... * g_n||_p <= prod ||g_j||_r with r = (np')'."""
-    n = len(gs)
-    if n < 2:
-        raise ValueError("need at least two factors")
-    if not p > 1:
-        raise ValueError("p must exceed 1")
-    lhs = _grid.convolve_grid(*gs).lp_mass(p) ** (1.0 / p)
-    r = young_exponent(n, p)
-    rhs = 1.0
-    for g in gs:
-        rhs *= g.lp_mass(r) ** (1.0 / r)
-    return YoungCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs * (1.0 + 1e-8))
-
-
-def riesz_check(f: GridFunction, n: int, p: float) -> RieszCheck:
-    """Objective comparison against the symmetric decreasing rearrangement."""
-    i_f = float(objective_I(f, n, p))
-    i_star = float(objective_I(_grid.rearrange_symmetric_decreasing(f), n, p))
-    return RieszCheck(i_f=i_f, i_fstar=i_star, holds=i_star >= i_f - 1e-8)
-
-
-def adjoint_identity_gap(f: GridFunction, g: GridFunction, h: GridFunction) -> float:
-    """Relative gap in the adjoint identity
-    int f (T(g) * h) = int (f * g) h, used as a self test of the grid
-    convolution layer."""
-    left_fn = _grid.convolve_grid(_grid.reflect(g), h)
-    right_fn = _grid.convolve_grid(f, g)
-    left = integrate_product(f, left_fn)
-    right = integrate_product(right_fn, h)
-    scale = max(abs(left), abs(right), 1e-300)
-    return abs(left - right) / scale
-
-
-def integrate_product(a: GridFunction, b: GridFunction) -> float:
-    """dx * sum a(x) b(x) over the overlap of the two node sets."""
-    if abs(a.dx - b.dx) > 1e-12 * max(a.dx, b.dx):
-        raise _grid.MismatchedSpacing(f"dx mismatch: {a.dx} vs {b.dx}")
-    # align by node index offset
-    off = (b.x0 - a.x0) / a.dx
-    k = round(off)
-    if abs(off - k) > 1e-6:
-        raise ValueError("grids are not node-aligned")
-    if k >= 0:
-        av = a.values[k:]
-        bv = b.values[: len(av)]
-    else:
-        bv = b.values[-k:]
-        av = a.values[: len(bv)]
-    m = min(len(av), len(bv))
-    return a.dx * math.fsum((av[:m] * bv[:m]).tolist())

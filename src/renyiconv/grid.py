@@ -1,8 +1,9 @@
 """Sampled nonnegative functions on a uniform grid.
 
 Floating-point companion to the exact piecewise layer: supplies
-convolution, powers, norms, reflection and symmetric decreasing
-rearrangement for general real exponents.  Integrals are plain
+convolution, powers, norms and reflection for general real exponents
+(the symmetric decreasing rearrangement is a test instrument, in
+tests/instruments.py).  Integrals are plain
 rectangle-rule sums dx * sum(values), which makes the discrete mass of a
 convolution factor exactly and keeps the solver's discrete identities
 clean.
@@ -23,7 +24,6 @@ NEGATIVE_CLAMP = 1e-12
 # convolution roundoff clamp, relative to the largest output value
 _CONV_CLAMP_REL = 1e-10
 _SPACING_RTOL = 1e-12
-_SYMMETRY_RTOL = 1e-9
 
 
 def _lattice_index(x: float, x0: float, dx: float, size: int) -> int:
@@ -104,14 +104,6 @@ class GridFunction:
         if not (p >= 1):
             raise ValueError("lp_mass requires p >= 1")
         return self.dx * math.fsum(np.power(self.values, float(p)).tolist())
-
-    def is_symmetric_grid(self) -> bool:
-        """True when the node set is symmetric about 0 (odd count)."""
-        n = self.values.size
-        if n % 2 == 0:
-            return False
-        target = -(n - 1) / 2 * self.dx
-        return abs(self.x0 - target) <= _SYMMETRY_RTOL * max(1.0, abs(target))
 
     def node_index(self, x: float) -> int:
         """Index of the node at x; raises if x is not a node."""
@@ -273,31 +265,6 @@ def power_real(f: GridFunction, q: float) -> GridFunction:
 def reflect(f: GridFunction) -> GridFunction:
     """The grid function x -> f(-x)."""
     return GridFunction(-f.x_end, f.dx, f.values[::-1])
-
-
-def rearrange_symmetric_decreasing(f: GridFunction) -> GridFunction:
-    """Symmetric decreasing rearrangement on a symmetric grid.
-
-    The multiset of values is preserved; sorted descending, they are
-    placed at offsets 0, +1, -1, +2, -2, ... from the center node, so the
-    output is non-increasing in |x|.
-    """
-    if not f.is_symmetric_grid():
-        raise AsymmetricGrid("rearrangement needs a grid symmetric about 0")
-    n = f.values.size
-    center = n // 2
-    order = np.argsort(-f.values, kind="stable")
-    out = np.empty(n)
-    pos = center
-    for rank, idx in enumerate(order):
-        if rank == 0:
-            pos = center
-        elif rank % 2 == 1:
-            pos = center + (rank + 1) // 2
-        else:
-            pos = center - rank // 2
-        out[pos] = f.values[idx]
-    return f.with_values(out)
 
 
 def read_csv(path) -> GridFunction:

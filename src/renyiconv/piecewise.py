@@ -424,21 +424,6 @@ class PiecewisePoly:
             [p.compose_linear(inv, 0) for p in self.pieces],
         )
 
-    def reflect(self) -> "PiecewisePoly":
-        """Return x -> self(-x)."""
-        return PiecewisePoly(
-            [-b for b in reversed(self.breakpoints)],
-            [p.compose_linear(-1, 0) for p in reversed(self.pieces)],
-        )
-
-    def translate(self, shift: RationalLike) -> "PiecewisePoly":
-        """Return x -> self(x - shift)."""
-        shift = as_fraction(shift)
-        return PiecewisePoly(
-            [b + shift for b in self.breakpoints],
-            [p.compose_linear(1, -shift) for p in self.pieces],
-        )
-
     # ------------------------------------------------------------------
     # calculus
 
@@ -548,11 +533,6 @@ class PiecewisePoly:
             run = [r + t for r, t in zip(run, _taylor_shift(taylor, -s))]
             pieces.append(Polynomial([Fraction(c * scale ** k, den) for k, c in enumerate(run)]))
         return PiecewisePoly([Fraction(s, scale) for s in cuts], pieces)
-
-
-def convolve(f: PiecewisePoly, g: PiecewisePoly) -> PiecewisePoly:
-    """Module-level alias for PiecewisePoly.convolve."""
-    return f.convolve(g)
 
 
 def self_convolution(f, n: int):

@@ -27,7 +27,8 @@ run_fixed_point and the CLI both consume the loop.  Both lanes run the
 same code: an exact and a sampled density answer the same questions
 (support, value at a point, convolution), and the only lane choices
 left are the kernel and the exact lane asserting nonnegativity where the
-grid takes the positive part.
+grid takes the positive part.  No command checks a (2, 2) fixed point
+against the stationarity coefficients; tests/instruments.py does.
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Union
 import numpy as np
 
 from . import grid as _grid
-from .entropy import ConstraintSet, Density, objective_I, scale_to_feasible
+from .entropy import Density
 from .euler_lagrange import stationarity_kernel
 from .grid import GridFunction
 from .piecewise import PiecewisePoly, self_convolution
@@ -257,46 +258,3 @@ def run_fixed_point(config: SolverConfig) -> FixedPointSolution:
             solution,
         )
     return solution
-
-
-class ElConsistencyReport(NamedTuple):
-    lam: float          # objective value of the rescaled solution
-    M: float
-    a_fit: float        # affine coefficients refitted on the rescaled function
-    b_fit: float
-    a_expected: float   # lam / (2 M)
-    b_expected: float   # lam / 2
-    dev_a: float        # relative deviations
-    dev_b: float
-
-
-def consistency_with_el(sol: FixedPointSolution, constraints: ConstraintSet) -> ElConsistencyReport:
-    """Check that the fixed point's affine relation matches the
-    stationarity coefficients of the constrained problem.
-
-    The solution is rescaled into the feasible set, the objective value
-    lam is recomputed there, the affine coefficients are refitted on the
-    rescaled function, and they are compared against lam/(2M) and lam/2.
-    Only the n = 2, p = 2 case has this coefficient structure.
-    """
-    if constraints.n != 2 or constraints.p != 2:
-        raise ValueError("consistency check applies to n = 2, p = 2")
-    q, _, _ = scale_to_feasible(sol.f, constraints)
-    lam_val = float(objective_I(q, 2, 2))
-    K = self_convolution(q, 3)
-    edge = q.support[1]
-    k0, ke, q0 = float(K(0)), float(K(edge)), float(q(0))
-    a_fit = (k0 - ke) / q0
-    b_fit = ke
-    m = float(constraints.M)
-    a_exp, b_exp = lam_val / (2.0 * m), lam_val / 2.0
-    return ElConsistencyReport(
-        lam=lam_val,
-        M=m,
-        a_fit=a_fit,
-        b_fit=b_fit,
-        a_expected=a_exp,
-        b_expected=b_exp,
-        dev_a=abs(a_fit - a_exp) / abs(a_fit),
-        dev_b=abs(b_fit - b_exp) / abs(b_fit),
-    )

@@ -24,6 +24,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from instruments import consistency_with_el, riesz_check, young_bound_check, young_exponent
 from renyiconv import cli
 from renyiconv.entropy import (
     ConstraintSet,
@@ -38,13 +39,10 @@ from renyiconv.euler_lagrange import (
     counterexample_check,
     el_residual,
     estimate_x6_grid,
-    riesz_check,
-    young_bound_check,
-    young_exponent,
 )
 from renyiconv.grid import GridFunction
 from renyiconv.piecewise import PiecewisePoly, Polynomial
-from renyiconv.solver import SolverConfig, consistency_with_el, run_fixed_point
+from renyiconv.solver import SolverConfig, run_fixed_point
 
 REFERENCE_F1 = ["1/1", "0/1", "-1/1"]
 REFERENCE_F2 = [

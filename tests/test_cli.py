@@ -76,6 +76,7 @@ class TestExactBytes:
     ["iterate", "--mode", "grid", "--dx", "0.3"],
     ["counterexample", "--grid-check", "--dx", "0.03"],
     ["gengauss", "--dx", "0"],
+    ["gengauss", "--M", "1e300", "--p", "1.01"],
 ], ids=" ".join)
 def test_invalid_flag_values_exit_2(tmp_path, argv):
     # run as a process, as a user would, so a traceback would be visible

@@ -180,4 +180,9 @@ class TestGeneralizedGaussian:
     def test_entropy_matches_grid(self):
         gg = gengauss(1.0, 2.0)
         g = gg.to_grid(1e-4)
-        assert renyi_entropy(g, 2.0) == pytest.approx(gg.renyi_entropy(), abs=1e-6)
+        assert renyi_entropy(g, 2.0) == pytest.approx(renyi_entropy(gg, gg.p), abs=1e-6)
+        # through the closed-form lp_mass, the same float operations as
+        # -log(int G^p) / (p - 1) spelled out
+        for p in (1.5, 2, 3, 4):
+            gp = gengauss(1.3, p)
+            assert renyi_entropy(gp, gp.p) == -math.log(gp.lp_mass(gp.p)) / (gp.p - 1.0)

@@ -5,22 +5,25 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from instruments import (
+    adjoint_identity_gap,
+    integrate_product,
+    rearrange_symmetric_decreasing,
+    riesz_check,
+    young_bound_check,
+    young_exponent,
+)
 from renyiconv import cli
 from renyiconv.entropy import gengauss, objective_I
 from renyiconv.euler_lagrange import (
     CounterexampleReport,
     InfeasibleInput,
-    adjoint_identity_gap,
     counterexample_check,
     el_residual,
     estimate_x6_grid,
-    integrate_product,
-    riesz_check,
     stationarity_kernel,
-    young_bound_check,
-    young_exponent,
 )
-from renyiconv.grid import GridFunction, rearrange_symmetric_decreasing
+from renyiconv.grid import GridFunction
 from renyiconv.piecewise import PiecewisePoly, Polynomial, self_convolution
 from renyiconv.solver import SolverConfig, run_fixed_point
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from instruments import rearrange_symmetric_decreasing
 from renyiconv.cli import _write_plot_csv
 from renyiconv.grid import (
     AsymmetricGrid,
@@ -14,7 +15,6 @@ from renyiconv.grid import (
     convolve_grid,
     power_real,
     read_csv,
-    rearrange_symmetric_decreasing,
     reflect,
     sample,
     symmetric_grid,

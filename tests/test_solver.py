@@ -7,17 +7,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from instruments import consistency_with_el, reflect
 from renyiconv.entropy import ConstraintSet, objective_I
 from renyiconv.euler_lagrange import stationarity_kernel
 from renyiconv.grid import GridFunction, _smooth_length, sample
-from renyiconv.piecewise import PiecewisePoly, Polynomial, convolve, format_rational, self_convolution
+from renyiconv.piecewise import PiecewisePoly, Polynomial, format_rational, self_convolution
 from renyiconv.solver import (
     FixedPointSolution,
     NotConverged,
     SolverConfig,
     _kernel_of,
     _sup_diff,
-    consistency_with_el,
     initial_iterate,
     iterate_once,
     run_fixed_point,
@@ -99,7 +99,7 @@ class TestExactIteration:
             assert f.eval(0) == 1
             assert f.eval(1) == 0
             assert f.eval(-1) == 0
-            assert f == f.reflect()
+            assert f == reflect(f)
             f.assert_nonnegative()
 
     def test_fourth_iterate_pinned(self):
@@ -119,14 +119,14 @@ class TestExactIteration:
     def test_mixed_factor_product_yields_quartic(self):
         # convolving f1 with the indicator twice (not f1 three times) and
         # renormalizing lands exactly on the quartic profile
-        K = convolve(convolve(F1, F0), F0)
+        K = F1.convolve(F0).convolve(F0)
         k0, k1 = K.eval(0), K.eval(1)
         g = (K.restrict(-1, 1) - PiecewisePoly.indicator(-1, 1, k1)) * (1 / (k0 - k1))
         assert g == QUARTIC
 
     def test_mixed_factor_product_yields_degree_10(self):
         # one more such step: quartic twice with one indicator factor
-        K = convolve(convolve(QUARTIC, QUARTIC), F0)
+        K = QUARTIC.convolve(QUARTIC).convolve(F0)
         k0, k1 = K.eval(0), K.eval(1)
         g = (K.restrict(-1, 1) - PiecewisePoly.indicator(-1, 1, k1)) * (1 / (k0 - k1))
         assert g == DEG10

@@ -16,10 +16,19 @@ which one it holds.
 Library reports and densities return plain values; cli.py alone spells
 numbers for output, so a 17-digit format spec or a to_json method
 elsewhere would be a second output format.
+
+The package ships what its commands run: every public function, class
+and method is used somewhere in the package, and checkers that only
+tests call live in tests/instruments.py.
+
+The runtime needs numpy and the standard library only; scipy and sympy
+are test oracles.
 """
 import ast
 import pathlib
 import re
+import sys
+from collections import defaultdict
 
 import renyiconv
 
@@ -177,3 +186,108 @@ def test_output_format_finder_sees_every_spelling():
         "    return {}\n"
     )
     assert output_format_sites(src) == [1, 2, 3, 4, 7, 9]
+
+
+def unreferenced_public_names(sources: dict[str, str]) -> list[str]:
+    """"file:name" of every public module-level function or class and
+    every public method, in sources {file name: text}, whose name is used
+    nowhere in them outside its own definition.  A use is a name or an
+    attribute, so imports do not count; dunders and main are exempt."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    defs = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for d in [node] + members:
+                if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                        and not d.name.startswith("_") and not (d is node and d.name == "main"):
+                    defs.append((name, d))
+    uses = defaultdict(list)
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                uses[node.id if isinstance(node, ast.Name) else node.attr].append((name, node.lineno))
+    return [f"{name}:{d.name}" for name, d in defs
+            if all(where == name and d.lineno <= line <= d.end_lineno for where, line in uses[d.name])]
+
+
+def test_every_public_name_is_used_in_the_package():
+    unused = unreferenced_public_names({path.name: path.read_text() for path in sorted(SRC.glob("*.py"))})
+    assert not unused, "public names the package never uses (move test-only ones to tests/): " + ", ".join(unused)
+
+
+def test_public_name_finder_sees_every_spelling():
+    sources = {
+        "a.py": (
+            "from .b import helper\n"
+            "def main():\n"
+            "    return run(1)\n"
+            "def run(x):\n"
+            "    return run(x - 1) if x else Box().size\n"
+            "def lonely():\n"
+            "    return lonely()\n"
+            "def _private():\n"
+            "    pass\n"
+            "class Box:\n"
+            "    def __init__(self):\n"
+            "        pass\n"
+            "    @property\n"
+            "    def size(self):\n"
+            "        return 0\n"
+            "    def unused(self):\n"
+            "        return self.size\n"
+        ),
+        "b.py": (
+            "def helper():\n"
+            "    pass\n"
+            "class Report:\n"
+            "    pass\n"
+            "def make() -> Report:\n"
+            "    pass\n"
+        ),
+    }
+    assert unreferenced_public_names(sources) == ["a.py:lonely", "a.py:unused", "b.py:helper", "b.py:make"]
+
+
+def foreign_imports(source: str) -> list[tuple[int, str]]:
+    """(line, module) of every absolute import, at any depth, of a module
+    outside the standard library and numpy."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [(node.lineno, m) for m in modules
+                  if m.split(".")[0] not in sys.stdlib_module_names and m.split(".")[0] != "numpy"]
+    return sorted(found)
+
+
+def test_runtime_imports_only_numpy_and_stdlib():
+    hits = [f"{path.name}:{line} {module}" for path in sorted(SRC.glob("*.py"))
+            for line, module in foreign_imports(path.read_text())]
+    assert not hits, "imports beyond numpy and the standard library: " + ", ".join(hits)
+
+
+def test_import_finder_sees_every_spelling():
+    src = (
+        "from __future__ import annotations\n"
+        "import math, os.path\n"
+        "import numpy as np\n"
+        "from numpy.fft import rfft\n"
+        "from . import grid\n"
+        "from .piecewise import PiecewisePoly\n"
+        "import scipy\n"
+        "from sympy import Rational\n"
+        "import numpy, matplotlib.pyplot as plt\n"
+        "def f():\n"
+        "    from scipy import integrate\n"
+        "    return integrate\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        import numpyx\n"
+    )
+    assert foreign_imports(src) == [(7, "scipy"), (8, "sympy"), (9, "matplotlib.pyplot"),
+                                    (11, "scipy"), (15, "numpyx")]
