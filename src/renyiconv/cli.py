@@ -47,7 +47,7 @@ from .entropy import (
 from .euler_lagrange import counterexample_check, el_residual, estimate_x6_grid
 from .grid import GridFunction
 from .piecewise import PiecewisePoly, format_rational
-from .solver import NotConverged, SolverConfig, initial_iterate, iterations, run_fixed_point
+from .solver import FixedPointSolution, SolverConfig, initial_iterate, iterations, run_fixed_point
 
 PLOT_NODES = 2001  # samples on [-1, 1] for plot CSVs
 PLOT_XS = np.linspace(-1.0, 1.0, PLOT_NODES)
@@ -132,6 +132,13 @@ def _exact_iterate_json(j: int, f: PiecewisePoly) -> dict:
     return doc
 
 
+def _no_convergence(sol: FixedPointSolution) -> int:
+    """Report a grid solve that spent its budget above tolerance: exit 3."""
+    print(f"error: no convergence after {sol.iterations} iterations "
+          f"(last step {sol.final_step_sup:.3e})", file=sys.stderr)
+    return 3
+
+
 def cmd_iterate(args: argparse.Namespace, out: _OutDir) -> int:
     if args.steps < 0:
         raise ValueError("--steps must be nonnegative")
@@ -166,14 +173,7 @@ def cmd_solve(args: argparse.Namespace, out: _OutDir) -> int:
         tol=args.tol,
         dx=args.dx,
     )
-    exit_code = 0
-    try:
-        sol = run_fixed_point(config)
-    except NotConverged as exc:
-        sol = exc.solution
-        exit_code = 3
-        print(f"error: {exc}", file=sys.stderr)
-
+    sol = run_fixed_point(config)
     doc = {
         "mode": args.mode,
         "a": sol.a,
@@ -182,7 +182,7 @@ def cmd_solve(args: argparse.Namespace, out: _OutDir) -> int:
         "final_step_sup": sol.final_step_sup,
         "el_residual_sup": sol.el_residual_sup,
         "clip_was_active": sol.clip_was_active,
-        "converged": exit_code == 0,
+        "converged": sol.converged,
     }
     out.json("solution.json", doc)
     if args.mode == "exact":
@@ -191,7 +191,7 @@ def cmd_solve(args: argparse.Namespace, out: _OutDir) -> int:
         vals = _sample_grid_on_unit(sol.f)
     out.csv("solution.csv", PLOT_XS, vals)
     out.json("history.json", [{"step": r.iteration, "sup_step": r.sup_step} for r in sol.history])
-    return exit_code
+    return 0 if sol.converged else _no_convergence(sol)
 
 
 def cmd_el_residual(args: argparse.Namespace, out: _OutDir) -> int:
@@ -239,11 +239,9 @@ def cmd_gengauss(args: argparse.Namespace, out: _OutDir) -> int:
 def cmd_compare(args: argparse.Namespace, out: _OutDir) -> int:
     n, p = args.n, args.p
     config = SolverConfig(mode="grid", n=n, p=p, dx=args.dx, tol=args.tol)
-    try:
-        sol = run_fixed_point(config)
-    except NotConverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    sol = run_fixed_point(config)
+    if not sol.converged:
+        return _no_convergence(sol)
 
     q = sol.f
     if args.M is None:

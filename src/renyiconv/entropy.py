@@ -10,6 +10,7 @@ exponent p; a grid gives floats for any real p >= 1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
@@ -23,6 +24,7 @@ Density = Union[PiecewisePoly, GridFunction]
 
 # relative tolerance of the feasibility check after a rescaling
 _FEASIBLE_RTOL = 1e-9
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class DegenerateDensity(ValueError):
@@ -42,12 +44,18 @@ class ConstraintSet:
     n: int
 
     def __post_init__(self):
-        if not self.M > 0:
-            raise ValueError("M must be positive")
+        _check_lp_target(self.M)
         if not self.p > 1:
             raise ValueError("p must exceed 1")
         if not (isinstance(self.n, int) and self.n >= 2):
             raise ValueError("n must be an integer >= 2")
+
+
+def _check_lp_target(M) -> None:
+    if not M > 0:
+        raise ValueError("M must be positive")
+    if not M < math.inf:
+        raise ValueError("M must be finite")
 
 
 def _log_fraction(q: Fraction) -> float:
@@ -119,7 +127,8 @@ def scale_to_feasible(f: Density, constraints: ConstraintSet) -> FeasibleScaling
 
     A piecewise f (integer p) gets an exact rational lam when the root is
     rational and the float root as a Fraction otherwise; a grid f gets
-    float arithmetic throughout.
+    float arithmetic throughout, and a ValueError naming M and p when lam
+    or the rescaled samples would leave the float range.
     """
     M, p, n = constraints.M, constraints.p, constraints.n
     mass = f.mass
@@ -136,7 +145,16 @@ def scale_to_feasible(f: Density, constraints: ConstraintSet) -> FeasibleScaling
             lam = Fraction(float(ratio) ** (1.0 / (p - 1)))
     else:
         M, p = float(M), float(p)
-        lam = (lpm / (M * mass ** p)) ** (1.0 / (p - 1.0))
+        try:
+            lam = (lpm / (M * mass ** p)) ** (1.0 / (p - 1.0))
+        except (OverflowError, ZeroDivisionError):
+            lam = math.inf
+        # f_tilde has unit mass on the spacing h = lam dx, so its samples sum
+        # to 1/h; its p-mass, C_n and el_residual's kernel (a factor C_n^(p-1))
+        # stay below (1/h)^k, k = n + max(p - 2, 0), which must be a float
+        k = n + max(p - 2.0, 0.0)
+        if not (0 < lam < math.inf and k * abs(math.log(lam) + math.log(f.dx)) < _LOG_FLOAT_MAX):
+            raise ValueError(f"M = {M} at p = {p} rescales the density beyond the float range")
     f_tilde = f.dilate(lam) * (1 / (lam * mass))
     predicted = M / (lpm * mass ** (p * (n - 1)))
     _assert_feasible(f_tilde, constraints)
@@ -197,8 +215,8 @@ class GeneralizedGaussian:
 def gengauss(beta: float, p: float) -> GeneralizedGaussian:
     """G_{beta,p} with alpha fixed by unit mass:
     alpha = sqrt(beta) / B(1/2, q+1), q = 1/(p-1)."""
-    if not beta > 0:
-        raise ValueError("beta must be positive")
+    if not 0 < beta < math.inf:
+        raise ValueError("beta must be positive and finite")
     if not p > 1:
         raise ValueError("p must exceed 1")
     q = 1.0 / (p - 1.0)
@@ -212,8 +230,7 @@ def gengauss_for_lp_mass(M: float, p: float) -> GeneralizedGaussian:
     The p-mass scales as beta^((p-1)/2) times its beta = 1 value, which
     inverts in closed form.
     """
-    if not M > 0:
-        raise ValueError("M must be positive")
+    _check_lp_target(M)
     base = gengauss(1.0, p).lp_mass(p)
     try:
         beta = (M / base) ** (2.0 / (p - 1.0))
@@ -241,7 +258,5 @@ def exact_gengauss_p2(sqrt_beta: Fraction) -> tuple[Fraction, PiecewisePoly]:
 
 def exact_gengauss_p2_for_lp_mass(M: Fraction) -> tuple[Fraction, PiecewisePoly]:
     """Exact p = 2 generalized Gaussian with 2-mass exactly M (rational)."""
-    m = Fraction(M)
-    if m <= 0:
-        raise ValueError("M must be positive")
-    return exact_gengauss_p2(Fraction(5, 3) * m)
+    _check_lp_target(M)
+    return exact_gengauss_p2(Fraction(5, 3) * Fraction(M))

@@ -23,7 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import grid as _grid
-from .entropy import ConstraintSet, DegenerateDensity, ZeroMass, objective_I, scale_to_feasible
+from .entropy import (ConstraintSet, DegenerateDensity, ZeroMass, exact_gengauss_p2, objective_I,
+                      scale_to_feasible)
 from .grid import GridFunction
 from .piecewise import PiecewisePoly, Polynomial, self_convolution
 
@@ -104,7 +105,7 @@ def el_residual(q: GridFunction, n: int, p: float, M: float) -> ElResidualReport
     xs = q.nodes[mask]
     return ElResidualReport(
         sup_residual=float(np.max(np.abs(resid))),
-        l2_residual=float(math.sqrt(q.dx * math.fsum((resid * resid).tolist()))),
+        l2_residual=float(math.sqrt(q.dx * math.fsum(memoryview(resid * resid)))),
         fitted_scale=fitted_scale,
         domain=(float(xs.min()), float(xs.max())),
     )
@@ -128,15 +129,15 @@ def counterexample_check() -> CounterexampleReport:
     """Exact verdict that the unit-mass quadratic bump density is not an
     affine fixed point of its triple self convolution.
 
-    Builds G(x) = (3/4)(1 - x^2)_+ exactly, convolves it with itself
-    twice, and reads off the degree-6 coefficient of the piece containing
-    the origin: it is nonzero, while any a G + b is quadratic there.  The
+    Takes G(x) = (3/4)(1 - x^2)_+ exactly (exact_gengauss_p2 at beta = 1),
+    convolves it with itself twice, and reads off the degree-6 coefficient
+    of the piece containing the origin: it is nonzero, while any a G + b
+    is quadratic there.  The
     verdict is scale invariant, so fixing the unit-support normalization
     loses nothing.  Also verifies the supporting identity that the triple
     self convolution of -2 on [-1, 1] equals -8(3 - x^2) there.
     """
-    alpha = Fraction(3, 4)
-    g = PiecewisePoly.single(Polynomial([alpha, 0, -alpha]), -1, 1)
+    g = exact_gengauss_p2(Fraction(1))[1]
     K = self_convolution(g, 3)
     mid = None
     for lo, hi, piece in K.intervals():
@@ -189,9 +190,7 @@ def estimate_x6_grid(dx: float = 1e-4) -> float:
     k = round(ratio)
     if abs(ratio - k) > 1e-9 or k < 1:
         raise ValueError(f"dx must divide the stencil step {X6_STENCIL_STEP}")
-    alpha = Fraction(3, 4)
-    g = PiecewisePoly.single(Polynomial([alpha, 0, -alpha]), -1, 1)
-    gs = _grid.sample(g, dx)
+    gs = _grid.sample(exact_gengauss_p2(Fraction(1))[1], dx)
     K = self_convolution(gs, 3)
     c = K.node_index(0.0)
     w = np.array([1.0, -6.0, 15.0, -20.0, 15.0, -6.0, 1.0])

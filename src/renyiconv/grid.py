@@ -96,14 +96,14 @@ class GridFunction:
 
     @property
     def mass(self) -> float:
-        """Rectangle-rule integral dx * sum(values), summed with fsum."""
-        return self.dx * math.fsum(self.values.tolist())
+        """Rectangle-rule integral dx * sum(values), fsum over a memoryview (no list)."""
+        return self.dx * math.fsum(memoryview(self.values))
 
     def lp_mass(self, p) -> float:
         """dx * sum f[i]^p, the p-th power of the grid L^p norm, for p >= 1."""
         if not (p >= 1):
             raise ValueError("lp_mass requires p >= 1")
-        return self.dx * math.fsum(np.power(self.values, float(p)).tolist())
+        return self.dx * math.fsum(memoryview(np.power(self.values, float(p))))
 
     def node_index(self, x: float) -> int:
         """Index of the node at x; raises if x is not a node."""

@@ -23,12 +23,14 @@ scheme, but no step lowers the dilation-invariant ratio
 I / (mass^((n-1)p) ||f||_p^p) beyond roundoff (tests/test_solver.py).
 
 iterate_once is the single update step and iterations the single loop;
-run_fixed_point and the CLI both consume the loop.  Both lanes run the
-same code: an exact and a sampled density answer the same questions
-(support, value at a point, convolution), and the only lane choices
-left are the kernel and the exact lane asserting nonnegativity where the
-grid takes the positive part.  No command checks a (2, 2) fixed point
-against the stationarity coefficients; tests/instruments.py does.
+run_fixed_point and the CLI both consume the loop, and run_fixed_point
+returns every outcome (a spent grid budget is converged False).  Both
+lanes run the same code: an exact and a sampled density answer the same
+questions (support, value at a point, convolution), and the only lane
+choices left are the kernel and the exact lane asserting nonnegativity
+where the grid takes the positive part.  No command checks a (2, 2)
+fixed point against the stationarity coefficients; tests/instruments.py
+does.
 """
 from __future__ import annotations
 
@@ -49,18 +51,6 @@ _SUPPORT_SLACK = 1e-9
 
 class DegenerateNormalizer(ArithmeticError):
     """Raised when K(0) = K(1), so the affine renormalization is undefined."""
-
-
-class NotConverged(RuntimeError):
-    """Grid iteration exhausted max_iter above tolerance.
-
-    Carries the last state in .solution (a FixedPointSolution whose
-    final_step_sup documents how far from the tolerance it stopped).
-    """
-
-    def __init__(self, message: str, solution: "FixedPointSolution"):
-        super().__init__(message)
-        self.solution = solution
 
 
 @dataclass(frozen=True)
@@ -117,6 +107,7 @@ class FixedPointSolution:
     iterations: int
     final_step_sup: float
     el_residual_sup: float
+    converged: bool   # False when a grid solve spent max_iter above tol
     history: tuple = field(default_factory=tuple)
     clip_was_active: bool = False
 
@@ -213,11 +204,13 @@ def _affine_residual_sup(fs: GridFunction, K: GridFunction, a: float, b: float, 
 def run_fixed_point(config: SolverConfig) -> FixedPointSolution:
     """Run the iteration from the indicator of [-1, 1].
 
-    Exact mode runs exactly resolved_max_iter() updates (coefficient size
-    grows quickly, so the count is the budget).  Grid mode stops when the
-    sup-norm step drops below config.tol and raises NotConverged (with
-    the last state attached) if max_iter runs out first; max_iter = 0
-    skips iterating and reports the affine fit at f_0 itself.
+    Every outcome returns the last state.  Exact mode runs exactly
+    resolved_max_iter() updates (coefficient size grows quickly, so the
+    count is the budget) and reports converged.  Grid mode stops when the
+    sup-norm step drops below config.tol; if max_iter runs out first, the
+    solution says converged False, and its final_step_sup tells how far
+    from the tolerance it stopped.  max_iter = 0 skips iterating and
+    reports the affine fit at f_0 itself.
     """
     exact = config.mode == "exact"
 
@@ -241,20 +234,14 @@ def run_fixed_point(config: SolverConfig) -> FixedPointSolution:
     K = _kernel_of(f, config.n, config.p)
     a, b = K(0) - K(1), K(1)
     el_sup = _affine_residual_sup(fs, self_convolution(fs, 3) if exact else K, float(a), float(b), config.p)
-    sup_step = records[-1].sup_step if records else 0.0
-    solution = FixedPointSolution(
+    return FixedPointSolution(
         f=f,
         a=a,
         b=b,
         iterations=len(records),
-        final_step_sup=sup_step,
+        final_step_sup=records[-1].sup_step if records else 0.0,
         el_residual_sup=el_sup,
+        converged=converged,
         history=tuple(records),
         clip_was_active=any(r.clipped for r in records),
     )
-    if not converged:
-        raise NotConverged(
-            f"no convergence after {len(records)} iterations (last step {sup_step:.3e})",
-            solution,
-        )
-    return solution

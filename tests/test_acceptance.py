@@ -76,6 +76,7 @@ def report(capsys, num: int, ok: bool, detail: str) -> None:
 def converged():
     t0 = time.perf_counter()
     sol = run_fixed_point(SolverConfig(mode="grid", dx=1e-3, tol=1e-10))
+    assert sol.converged
     return sol, time.perf_counter() - t0
 
 

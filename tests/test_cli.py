@@ -18,6 +18,14 @@ def run(argv):
     return cli.main(argv)
 
 
+def run_process(argv):
+    """The CLI in a fresh interpreter, with this checkout's package first."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(renyiconv.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "renyiconv.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 def load(path):
     with open(path) as fh:
         return json.load(fh)
@@ -77,25 +85,41 @@ class TestExactBytes:
     ["counterexample", "--grid-check", "--dx", "0.03"],
     ["gengauss", "--dx", "0"],
     ["gengauss", "--M", "1e300", "--p", "1.01"],
+    # M at the ends of the float range: the rescaling of the fixed point,
+    # or the generalized Gaussian, would leave it
+    ["compare", "--n", "2", "--p", "2", "--M", "1e300", "--dx", "0.01"],
+    ["compare", "--n", "2", "--p", "1.5", "--M", "1e-300", "--dx", "0.01"],
+    ["compare", "--n", "2", "--p", "1.5", "--M", "1e300", "--dx", "0.01"],
+    ["compare", "--n", "2", "--p", "1.5", "--M", "1e100", "--dx", "0.01"],
+    ["gengauss", "--M", "inf"],
+    ["gengauss", "--beta", "inf"],
 ], ids=" ".join)
 def test_invalid_flag_values_exit_2(tmp_path, argv):
     # run as a process, as a user would, so a traceback would be visible
-    src = os.path.dirname(os.path.dirname(os.path.abspath(renyiconv.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-m", "renyiconv.cli", *argv, "--out", str(tmp_path / "o")],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = run_process(argv + ["--out", str(tmp_path / "o")])
     assert proc.returncode == 2
     assert any(line.startswith("error: ") for line in proc.stderr.splitlines())
     assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_el_residual_beyond_float_range_exits_2(tmp_path):
+    # a solution the CLI wrote (lam overflows), and a density of mass 0.3,
+    # for which M * mass^p underflows to 0
+    assert run(["solve", "--p", "1.5", "--dx", "0.01", "--out", str(tmp_path / "s")]) == 0
+    light = tmp_path / "light.csv"
+    light.write_text("x,value\n" + "".join(f"{k / 100},0.15\n" for k in range(-100, 101)))
+    for csv, p, M in [(tmp_path / "s" / "solution.csv", "1.5", "1e-300"), (light, "2", "5e-324")]:
+        proc = run_process(["el-residual", "--input", str(csv), "--p", p, "--M", M, "--out", str(tmp_path / "e")])
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: M = {float(M)} at p = {float(p)} rescales the density beyond the float range\n"
+        assert not os.path.exists(tmp_path / "e" / "manifest.json")
 
 
 def test_out_naming_a_file_exits_2(tmp_path):
     path = tmp_path / "taken"
     path.write_text("")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(renyiconv.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-m", "renyiconv.cli", "counterexample", "--out", str(path)],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = run_process(["counterexample", "--out", str(path)])
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"error: cannot use --out {path}: ")
     assert "Traceback" not in proc.stderr
@@ -167,10 +191,11 @@ class TestSolve:
         hist = load(os.path.join(out, "history.json"))
         assert d["iterations"] == len(hist)
 
-    def test_max_iter_exhaustion_exits_3_with_partial(self, tmp_path):
+    def test_max_iter_exhaustion_exits_3_with_partial(self, tmp_path, capsys):
         out = str(tmp_path / "o")
         assert run(["solve", "--mode", "grid", "--dx", "0.001",
                     "--max-iter", "2", "--out", out]) == 3
+        assert capsys.readouterr().err == "error: no convergence after 2 iterations (last step 8.155e-02)\n"
         d = load(os.path.join(out, "solution.json"))
         assert d["converged"] is False
         assert d["iterations"] == 2
@@ -279,7 +304,7 @@ class TestCompare:
         assert d["ordering_ok"] is False
 
 
-def test_manifest_lists_exactly_the_files_written(tmp_path, monkeypatch):
+def test_manifest_lists_exactly_the_files_written(tmp_path, monkeypatch, capsys):
     """Every subcommand: the manifest names the files in --out, and there is
     none when a command wrote nothing."""
     def outputs(name):
@@ -301,12 +326,16 @@ def test_manifest_lists_exactly_the_files_written(tmp_path, monkeypatch):
         assert man["command"] == argv[0]
         assert man["outputs"] == outputs(name) != []
 
-    for name, argv, code in [
-        ("compare-no-fixed-point", ["compare", "--dx", "0.01", "--tol", "1e-30"], 3),
-        ("el-residual-unreadable", ["el-residual", "--input", str(tmp_path / "none.csv"), "--M", "0.5"], 2),
+    for name, argv, code, stderr in [
+        ("compare-no-fixed-point", ["compare", "--dx", "0.01", "--tol", "1e-30"], 3,
+         "error: no convergence after 200 iterations (last step 4.441e-16)\n"),
+        ("el-residual-unreadable", ["el-residual", "--input", str(tmp_path / "none.csv"), "--M", "0.5"], 2,
+         f"error: cannot read {tmp_path / 'none.csv'}: "),
     ]:
+        capsys.readouterr()
         assert run(argv + ["--out", str(tmp_path / name)]) == code
         assert os.listdir(tmp_path / name) == []
+        assert capsys.readouterr().err.startswith(stderr)
 
     real = cli.objective_I
     monkeypatch.setattr(cli, "objective_I", lambda f, n, p: 1.0 / float(real(f, n, p)))

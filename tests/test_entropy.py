@@ -49,6 +49,10 @@ class TestConstraintSet:
         ConstraintSet(M=0.5, p=2.0, n=2)
         with pytest.raises(ValueError):
             ConstraintSet(M=0.0, p=2.0, n=2)
+        with pytest.raises(ValueError, match="^M must be finite$"):
+            ConstraintSet(M=math.inf, p=2.0, n=2)
+        with pytest.raises(ValueError, match="^M must be positive$"):
+            ConstraintSet(M=math.nan, p=2.0, n=2)
         with pytest.raises(ValueError):
             ConstraintSet(M=0.5, p=1.0, n=2)
         with pytest.raises(ValueError):

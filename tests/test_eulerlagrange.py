@@ -30,7 +30,9 @@ from renyiconv.solver import SolverConfig, run_fixed_point
 
 @pytest.fixture(scope="module")
 def solution():
-    return run_fixed_point(SolverConfig(mode="grid", dx=1e-3, tol=1e-10))
+    sol = run_fixed_point(SolverConfig(mode="grid", dx=1e-3, tol=1e-10))
+    assert sol.converged
+    return sol
 
 
 def rand_density(rng, n_min=50, n_max=400, dx=0.01):
