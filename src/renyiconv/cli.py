@@ -69,10 +69,9 @@ def _atomic_write_text(path: str, text: str) -> None:
 
 
 def _write_plot_csv(path: str, xs: np.ndarray, vals: np.ndarray) -> None:
-    lines = ["x,value"]
-    for x, v in zip(xs, vals):
-        lines.append(f"{x:.17g},{v:.17g}")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    # Python floats format to the same text as numpy scalars, and faster
+    rows = zip(np.asarray(xs).tolist(), np.asarray(vals).tolist())
+    _atomic_write_text(path, "".join([f"{_grid.CSV_HEADER}\n", *(f"{x:.17g},{v:.17g}\n" for x, v in rows)]))
 
 
 def _fmt(obj):

@@ -25,6 +25,7 @@ Density = Union[PiecewisePoly, GridFunction]
 # relative tolerance of the feasibility check after a rescaling
 _FEASIBLE_RTOL = 1e-9
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+MAX_GRID_NODES = 1 << 24  # most nodes of GeneralizedGaussian.to_grid, 128 MiB of floats
 
 
 class DegenerateDensity(ValueError):
@@ -199,7 +200,10 @@ class GeneralizedGaussian:
         if not dx > 0:
             raise ValueError("dx must be positive")
         half = self.beta ** -0.5
-        n = max(2, int(math.ceil(half / dx - 1e-9)))
+        n = max(2, math.ceil(min(half / dx - 1e-9, MAX_GRID_NODES)))  # min: ceil of inf raises
+        if 2 * n + 1 > MAX_GRID_NODES:
+            raise ValueError(f"the generalized Gaussian with beta = {self.beta} (half-width {half}) "
+                             f"needs more than {MAX_GRID_NODES} grid nodes at dx = {dx}")
         xs = dx * np.arange(-n, n + 1)
         u = np.maximum(1.0 - self.beta * xs * xs, 0.0)
         return GridFunction(xs[0], dx, self.alpha * u ** self.q)

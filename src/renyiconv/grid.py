@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -24,6 +25,7 @@ NEGATIVE_CLAMP = 1e-12
 # convolution roundoff clamp, relative to the largest output value
 _CONV_CLAMP_REL = 1e-10
 _SPACING_RTOL = 1e-12
+CSV_HEADER = "x,value"  # of the plot CSVs, written by the CLI and read by read_csv
 
 
 def _lattice_index(x: float, x0: float, dx: float, size: int) -> int:
@@ -268,24 +270,18 @@ def reflect(f: GridFunction) -> GridFunction:
 
 
 def read_csv(path) -> GridFunction:
-    """Read a two-column `x,value` CSV, as the CLI writes; validates
-    uniform spacing."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if [h.strip().lower() for h in header[:2]] != ["x", "value"]:
-            raise ValueError("expected header row 'x,value'")
-        xs, vs = [], []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < 2:
-                raise ValueError(f"line {reader.line_num} has fewer than two fields")
-            xs.append(float(row[0]))
-            vs.append(float(row[1]))
-    if len(xs) < 2:
+    """Read a CSV under CSV_HEADER, as the CLI writes; numpy parses the rows
+    to the floats float() gives.  Validates uniform spacing, which NaN x fails."""
+    with open(path, newline="") as fh, warnings.catch_warnings():
+        header = next(csv.reader([fh.readline()]), [])
+        if [h.strip().lower() for h in header[:2]] != CSV_HEADER.split(","):
+            raise ValueError(f"expected header row '{CSV_HEADER}'")
+        # no rows is reported below, not as numpy's "input contained no data"
+        warnings.simplefilter("ignore", UserWarning)
+        xs, vs = np.loadtxt(fh, delimiter=",", usecols=(0, 1), ndmin=2, comments=None, quotechar='"', unpack=True)
+    if xs.size < 2:
         raise ValueError("need at least two rows")
-    dx = (xs[-1] - xs[0]) / (len(xs) - 1)
-    if dx <= 0 or np.max(np.abs(np.diff(xs) - dx)) > 1e-9 * max(1.0, abs(dx)):
+    dx = (float(xs[-1]) - float(xs[0])) / (xs.size - 1)
+    if not (0 < dx < math.inf and np.all(np.abs(np.diff(xs) - dx) <= 1e-9 * max(1.0, dx))):
         raise ValueError("grid spacing is not uniform")
-    return GridFunction(xs[0], dx, np.array(vs))
+    return GridFunction(float(xs[0]), dx, vs)

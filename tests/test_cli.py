@@ -93,6 +93,10 @@ class TestExactBytes:
     ["compare", "--n", "2", "--p", "1.5", "--M", "1e100", "--dx", "0.01"],
     ["gengauss", "--M", "inf"],
     ["gengauss", "--beta", "inf"],
+    # grids beyond the generalized Gaussian's node limit
+    ["gengauss", "--p", "3", "--M", "1e-150"],
+    ["gengauss", "--beta", "1e-10"],
+    ["compare", "--n", "2", "--p", "3", "--M", "1e-150", "--dx", "0.01"],
 ], ids=" ".join)
 def test_invalid_flag_values_exit_2(tmp_path, argv):
     # run as a process, as a user would, so a traceback would be visible
@@ -217,7 +221,9 @@ class TestElResidual:
         assert run(["el-residual", "--input", str(tmp_path / "none.csv"),
                     "--M", "0.5", "--out", str(tmp_path / "o")]) == 2
 
-    @pytest.mark.parametrize("text", ["", "x,value\n0,1\n0.1\n"], ids=["empty", "short-row"])
+    @pytest.mark.parametrize("text", [
+        "", "x,value\n0,1\n0.1\n", "x,value\n0,1\nnan,1\n0.2,1\n", "x,value\n0,1\n0.1,1\nnan,1\n",
+    ], ids=["empty", "short-row", "nan-x", "nan-x-last"])
     def test_malformed_input_exit_2(self, tmp_path, capsys, text):
         path = tmp_path / "bad.csv"
         path.write_text(text)

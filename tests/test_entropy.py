@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from renyiconv import entropy
 from renyiconv.entropy import (
     ConstraintSet,
     DegenerateDensity,
@@ -190,3 +191,15 @@ class TestGeneralizedGaussian:
         for p in (1.5, 2, 3, 4):
             gp = gengauss(1.3, p)
             assert renyi_entropy(gp, gp.p) == -math.log(gp.lp_mass(gp.p)) / (gp.p - 1.0)
+
+    def test_to_grid_node_limit(self, monkeypatch):
+        # half-width 1: dx 0.2 gives 11 nodes, dx 0.19 would give 13
+        monkeypatch.setattr(entropy, "MAX_GRID_NODES", 11)
+        assert len(gengauss(1.0, 2.0).to_grid(0.2)) == 11
+        with pytest.raises(ValueError, match=r"beta = 1.0 \(half-width 1.0\) .* 11 grid nodes at dx = 0.19"):
+            gengauss(1.0, 2.0).to_grid(0.19)
+
+    def test_to_grid_refuses_before_allocating(self):
+        # 1.1e77 nodes, which numpy refuses with a message naming neither
+        with pytest.raises(ValueError, match="half-width 5.51"):
+            gengauss_for_lp_mass(1e-150, 3.0).to_grid(0.01)

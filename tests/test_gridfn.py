@@ -1,5 +1,7 @@
 """Grid layer: sampling, convolution, norms, rearrangement, CSV."""
 import math
+import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -346,12 +348,52 @@ class TestCsv:
         assert h.dx == pytest.approx(g.dx, rel=1e-12)
         assert np.array_equal(h.values, g.values)
 
-    @pytest.mark.parametrize("text", ["", "x,value\n0,1\n0.1\n"], ids=["empty", "short-row"])
-    def test_rejects_malformed(self, tmp_path, text):
+    def test_round_trip_bit_exact(self, tmp_path, rng):
+        extremes = [5e-324, 2.2250738585072014e-308, -0.0, sys.float_info.max]
+        vals = np.concatenate([extremes, rng.uniform(0, 1, 500), 10.0 ** rng.uniform(-320, 308, 500)])
+        xs = -0.73 + 1e-3 * np.arange(vals.size)
+        path = tmp_path / "g.csv"
+        _write_plot_csv(str(path), xs, vals)
+        h = read_csv(str(path))
+        assert np.array_equal(h.values.view(np.int64), vals.view(np.int64))
+        assert h.x0 == xs[0]
+
+    # one grid, x = -0.5, 0, 0.5, in spellings the CLI does not write
+    @pytest.mark.parametrize("text", [
+        "x,value\r\n-0.5,0.1\r\n0,2.5e-300\r\n0.5,0\r\n",
+        "x,value\n-0.5,0.1\n\n0,2.5e-300\n0.5,0\n\n",
+        " X , Value \n -0.5 , 0.1 \n0 ,2.5e-300\n0.5, 0\n",
+        '"x","value"\n"-0.5","0.1"\n"0",2.5e-300\n0.5,"0"\n',
+        "x,value,note\n-0.5,0.1,a\n0,2.5e-300,b\n0.5,0,\n",
+        "x,value\n-5e-1,1e-1\n0E0,25E-301\n5e-1,0e+0\n",
+    ], ids=["crlf", "blank-lines", "spaces", "quoted", "third-column", "short-exponents"])
+    def test_reads_other_spellings(self, tmp_path, text):
+        path = tmp_path / "g.csv"
+        path.write_bytes(text.encode())
+        expected = GridFunction(float("-0.5"), (float("0.5") - float("-0.5")) / 2,
+                                [float("0.1"), float("2.5e-300"), float("0")])
+        assert read_csv(str(path)) == expected
+
+    @pytest.mark.parametrize("text, match", [
+        ("", "expected header row"),
+        ("x,value\n0,1\n0.1\n", None),
+        # a NaN x fails the spacing test wherever it stands
+        ("x,value\n0,1\nnan,1\n0.2,1\n", "not uniform"),
+        ("x,value\n0,1\n0.1,1\nnan,1\n", "not uniform"),
+    ], ids=["empty", "short-row", "nan-x", "nan-x-last"])
+    def test_rejects_malformed(self, tmp_path, text, match):
         path = tmp_path / "bad.csv"
         path.write_text(text)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=match):
             read_csv(str(path))
+
+    def test_header_only_raises_without_warning(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x,value\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="need at least two rows"):
+                read_csv(str(path))
 
     def test_rejects_nonuniform(self, tmp_path):
         path = tmp_path / "bad.csv"
