@@ -2,8 +2,9 @@
 normalization, and the generalized Gaussian family.
 
 All quantities are for densities on the line (d = 1).  A density is a
-PiecewisePoly or a GridFunction; both answer mass, lp_mass(p), convolve,
-dilate and scaling by a constant, so every function here has one body.
+PiecewisePoly or a GridFunction; both answer mass, lp_mass(p),
+convolution_power, dilate and scaling by a constant, so every function
+here has one body.
 A piecewise polynomial gives exact Fraction results and needs an integer
 exponent p; a grid gives floats for any real p >= 1.
 """
@@ -18,7 +19,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .grid import GridFunction
-from .piecewise import PiecewisePoly, self_convolution
+from .piecewise import PiecewisePoly
 
 Density = Union[PiecewisePoly, GridFunction]
 
@@ -80,11 +81,12 @@ def objective_I(f: Density, n: int, p) -> Union[Fraction, float]:
     self convolution.
 
     A piecewise f returns a Fraction, which is simultaneously the exact
-    rational value and a usable real number; a grid f returns a float.
+    rational value and a usable real number; a grid f returns a float,
+    from C_n made in one product at the update kernels' transform length.
     """
     if n < 1:
         raise ValueError("objective_I requires n >= 1")
-    return self_convolution(f, n).lp_mass(p)
+    return f.convolution_power(n).lp_mass(p)
 
 
 class FeasibleScaling(NamedTuple):

@@ -61,17 +61,23 @@ def stationarity_kernel(q: GridFunction, n: int, p: float) -> GridFunction:
 
     With h = C_n(Q)^(p-1), K(x) = dx sum_y C_{n-1}(Q)(y) h(x + y), so
     K = T(C_{n-1}(Q) * T(h)): both products are powers of Q's one
-    spectrum times at most one other, and share it through a memo.  One
-    cyclic length L = 5-smooth >= n(N-1)+1 serves both (C_n in full, and
-    the window of the second product that reflects onto q's nodes), so
-    K costs 2 rffts and 2 irffts.  Those nodes are the only ones the
-    fixed-point update, its final fit and el_residual read.
+    spectrum times at most one other, and the first hands that spectrum
+    to the second through convolve_grid's memo.  One cyclic length
+    L = 5-smooth >= n(N-1)+1 serves both (C_n in full, and the window of
+    the second product that reflects onto q's nodes), so K costs 2 rffts
+    and 2 irffts.  Those nodes are the only ones the fixed-point update,
+    its final fit and el_residual read.
     """
     spectra = {}
-    # a window, even the whole output, gives a pair (n = 2) the length L
-    cn = _grid.convolve_grid(*[q] * n, lo=n * q.x0, spectra=spectra)
+    return _kernel_from_cn(q, n, p, q.convolution_power(n, spectra), spectra)
+
+
+def _kernel_from_cn(q: GridFunction, n: int, p: float, cn: GridFunction, spectra: dict) -> GridFunction:
+    """stationarity_kernel from cn = C_n(Q), made with the memo spectra,
+    which then holds Q's spectrum for the second product: 1 rfft and 1
+    irfft more."""
     th = _grid.reflect(_grid.power_real(cn, p - 1.0))
-    del cn  # not held while the second product runs
+    del cn  # not held here while the second product runs
     tk = _grid.convolve_grid(*[q] * (n - 1), th, lo=-q.x_end, hi=-q.x0, spectra=spectra)
     return GridFunction(q.x0, q.dx, tk.values[::-1])
 
@@ -81,6 +87,7 @@ def el_residual(q: GridFunction, n: int, p: float, M: float) -> ElResidualReport
 
     If Q is not feasible for (M, p) within 1e-6 it is rescaled into the
     feasible set first; the dilation used is reported as fitted_scale.
+    The objective I and the kernel come from one C_n: 4 transforms.
     """
     constraints = ConstraintSet(M=M, p=p, n=n)
     fitted_scale = 1.0
@@ -93,8 +100,10 @@ def el_residual(q: GridFunction, n: int, p: float, M: float) -> ElResidualReport
             raise InfeasibleInput(str(exc)) from exc
         fitted_scale = float(lam)
 
-    lam_val = float(objective_I(q, n, p))
-    lhs_vals = stationarity_kernel(q, n, p).values
+    spectra = {}
+    cn = q.convolution_power(n, spectra)
+    lam_val = float(objective_I(cn, 1, p))  # I_n(Q) = I_1(C_n(Q)), bit for bit
+    lhs_vals = _kernel_from_cn(q, n, p, cn, spectra).values
     rhs_vals = (lam_val / (M * n)) * q.values ** (p - 1.0) + lam_val * (n - 1) / n
 
     thresh = Q_THRESHOLD_REL * float(q.values.max())

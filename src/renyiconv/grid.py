@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -62,14 +63,16 @@ class GridFunction:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1 or vals.size < 2:
             raise ValueError("values must be a 1-D sequence of length >= 2")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("values must be finite")
+        # min and max are finite exactly when every value is (NaN propagates)
         low = float(vals.min())
+        if not (math.isfinite(low) and math.isfinite(float(vals.max()))):
+            raise ValueError("values must be finite")
         if low < 0:
             if low < -NEGATIVE_CLAMP:
                 raise ValueError(f"negative value {low} below clamp tolerance")
             vals = np.maximum(vals, 0.0)
-        vals = vals.copy()
+        else:
+            vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -126,6 +129,19 @@ class GridFunction:
     def convolve(self, g: "GridFunction") -> "GridFunction":
         """The plain pair f * g of convolve_grid, full output."""
         return convolve_grid(self, g)
+
+    def convolution_power(self, n: int, spectra: dict | None = None) -> "GridFunction":
+        """C_n(f), the n-fold self convolution, in full: one windowed
+        product of n factors, so its transform length is the 5-smooth L of
+        the stationarity and p = 2 update kernels of f.  spectra is
+        convolve_grid's memo: for n >= 2 it then holds f's spectrum, for
+        the next product with f."""
+        if n < 1:
+            raise ValueError("convolution_power requires n >= 1")
+        if n == 1:
+            return self
+        # a window, even the whole output, gives a pair (n = 2) the length L
+        return convolve_grid(*[self] * n, lo=n * self.x0, spectra=spectra)
 
     def dilate(self, lam: float) -> "GridFunction":
         """The function x -> f(x/lam): same samples on the lattice scaled
@@ -203,17 +219,25 @@ def convolve_grid(f: GridFunction, g: GridFunction, *more: GridFunction,
     L >= max(n_out - w0, w0 + W) and L covers the longest factor; L is
     the smallest 2^a 3^b 5^c that does.  A pair called with no window
     (neither lo nor hi) keeps the power of two covering n_out, so its
-    bits stay what they were: exact-lane results downstream are pinned.
+    bits stay what they were.  Its two callers are the pair chain of
+    piecewise.self_convolution on a grid: the exact solve's residual
+    (pinned by sha256 through solution.json) and estimate_x6_grid (whose
+    sixth difference moves by 2.2e-8 relative on the 5-smooth route).
     Roundoff can leave tiny negatives on nodes whose true value is 0;
-    they are clamped relative to the window's peak.
+    they are clamped relative to the window's peak, in place, through one
+    boolean mask.
 
-    spectra is an optional memo owned by the caller, for products that
-    share a factor: it maps (id(values), L) to (values, rfft of values at
-    L), and holding the array keeps its id from being reused.  Spectra
-    found there are reused and never written to.  The spectrum of a
-    factor repeated in this product is added to it; that of a factor
-    used once is not, since the product overwrites it.  The memo never
-    changes a product's bits.
+    spectra is an optional hand-over, owned by the caller, between two
+    products that share a factor: it maps (id(values), L) to (values,
+    rfft of values at L), and holding the array keeps its id from being
+    reused.  A product stores there the spectrum of a factor it repeats,
+    and the next product with that factor at L takes it out instead of
+    transforming again.  The memo never changes a product's bits.
+
+    A spectrum held nowhere else is the product's to overwrite: the
+    product is formed in it, and a factor used twice is squared in
+    place, so such a factor costs no buffer beyond its spectrum.  One
+    used more often, or stored, is kept apart.
     """
     factors = (f, g) + more
     for h in factors[1:]:
@@ -235,25 +259,26 @@ def convolve_grid(f: GridFunction, g: GridFunction, *more: GridFunction,
         multiplicity.setdefault(id(h.values), [h.values, 0])[1] += 1
     prod, owned = None, False
     for key, (vals, k) in multiplicity.items():
-        hit = None if spectra is None else spectra.get((key, n_fft))
+        hit = None if spectra is None else spectra.pop((key, n_fft), None)
         spec = np.fft.rfft(vals, n_fft) if hit is None else hit[1]
-        # a fresh spectrum used once is consumed: the product may take its
-        # buffer.  One used again is kept apart, and memoized if asked.
-        consumed = hit is None and k == 1
-        if hit is None and k > 1 and spectra is not None:
+        stored = hit is None and k > 1 and spectra is not None
+        if stored:
             spectra[key, n_fft] = (vals, spec)
         for _ in range(k):
             if prod is None:
-                prod, owned = spec, consumed
+                prod, owned = spec, not stored and k <= 2
             elif owned:
                 prod *= spec
             else:
-                prod, owned = np.multiply(prod, spec, out=spec if consumed else None), True
-    del spec
+                prod, owned = prod * spec, True
+    del spec, hit
     out = np.fft.irfft(prod, n_fft)[w0:w1 + 1]
     del prod
-    clamp = _CONV_CLAMP_REL * max(1.0, float(np.abs(out).max()))
-    out[(out < 0) & (out > -clamp)] = 0.0
+    clamp = _CONV_CLAMP_REL * max(1.0, float(out.max()), -float(out.min()))
+    tiny = out > -clamp
+    np.less(out, 0.0, out=tiny, where=tiny)  # now -clamp < out < 0
+    out[tiny] = 0.0
+    del tiny
     return GridFunction(x0 + w0 * dx, dx, dx ** (len(factors) - 1) * out)
 
 
@@ -269,16 +294,46 @@ def reflect(f: GridFunction) -> GridFunction:
     return GridFunction(-f.x_end, f.dx, f.values[::-1])
 
 
+def _load_rows(lines):
+    return np.loadtxt(lines, delimiter=",", usecols=(0, 1), ndmin=2, comments=None, quotechar='"', unpack=True)
+
+
+def _name_bad_line(fh, exc: ValueError) -> str:
+    """numpy's message for a bad row, with its row number (which skips
+    blank lines and is 0- or 1-based by error kind) replaced by the file
+    line: the rows after the header are parsed again, one line at a time."""
+    fh.seek(0)
+    fh.readline()
+    line = 1
+
+    def counted():
+        nonlocal line
+        for text in fh:
+            line += 1
+            yield text
+
+    try:
+        _load_rows(counted())
+    except ValueError as again:
+        exc = again
+    msg, found = re.subn(r"\brow \d+", f"line {line}", str(exc))
+    return msg if found else f"line {line}: {msg}"
+
+
 def read_csv(path) -> GridFunction:
     """Read a CSV under CSV_HEADER, as the CLI writes; numpy parses the rows
-    to the floats float() gives.  Validates uniform spacing, which NaN x fails."""
+    to the floats float() gives, and a row it rejects is named by its file
+    line.  Validates uniform spacing, which NaN x fails."""
     with open(path, newline="") as fh, warnings.catch_warnings():
         header = next(csv.reader([fh.readline()]), [])
         if [h.strip().lower() for h in header[:2]] != CSV_HEADER.split(","):
             raise ValueError(f"expected header row '{CSV_HEADER}'")
         # no rows is reported below, not as numpy's "input contained no data"
         warnings.simplefilter("ignore", UserWarning)
-        xs, vs = np.loadtxt(fh, delimiter=",", usecols=(0, 1), ndmin=2, comments=None, quotechar='"', unpack=True)
+        try:
+            xs, vs = _load_rows(fh)
+        except ValueError as exc:
+            raise ValueError(_name_bad_line(fh, exc)) from None
     if xs.size < 2:
         raise ValueError("need at least two rows")
     dx = (float(xs[-1]) - float(xs[0])) / (xs.size - 1)

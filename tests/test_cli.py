@@ -223,7 +223,8 @@ class TestElResidual:
 
     @pytest.mark.parametrize("text", [
         "", "x,value\n0,1\n0.1\n", "x,value\n0,1\nnan,1\n0.2,1\n", "x,value\n0,1\n0.1,1\nnan,1\n",
-    ], ids=["empty", "short-row", "nan-x", "nan-x-last"])
+        "x,value\n0,1\n   \n0.2,1\n",
+    ], ids=["empty", "short-row", "nan-x", "nan-x-last", "blank-ish"])
     def test_malformed_input_exit_2(self, tmp_path, capsys, text):
         path = tmp_path / "bad.csv"
         path.write_text(text)
@@ -276,6 +277,13 @@ class TestCompare:
         assert float(d["I_fixed_point"]) > float(d["I_gengauss"])
         # smaller entropy of the sum is the equivalent statement
         assert float(d["hp_sum_fixed_point"]) < float(d["hp_sum_gengauss"])
+
+    def test_one_transform_length(self, tmp_path, rfft_lengths, irfft_lengths):
+        # the update kernel C_5 on f's nodes and the objective C_3 of the
+        # fixed point both take L = 6075 >= 3 * 2000 + 1 (the exact
+        # generalized Gaussian takes none); the pair chain took 4096 and 8192
+        assert run(["compare", "--n", "3", "--p", "2", "--dx", "1e-3", "--out", str(tmp_path / "o")]) == 0
+        assert set(rfft_lengths + irfft_lengths) == {6075}
 
     def test_default_m_uses_solution_norms(self, tmp_path):
         out = str(tmp_path / "o")

@@ -20,7 +20,7 @@ from renyiconv.entropy import (
     scale_to_feasible,
 )
 from renyiconv.grid import GridFunction, sample
-from renyiconv.piecewise import PiecewisePoly, Polynomial
+from renyiconv.piecewise import PiecewisePoly, Polynomial, self_convolution
 
 
 def rand_step_density(rng, exact=False):
@@ -81,6 +81,15 @@ class TestEntropyFunctionals:
         exact = objective_I(f, 2, 2)
         g = sample(f, 1e-3)
         assert float(objective_I(g, 2, 2.0)) == pytest.approx(float(exact), rel=1e-5)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_objective_grid_matches_pair_chain(self, n, p):
+        # one windowed product at the 5-smooth length against the chain of
+        # power-of-two pairs that the pinned callers keep
+        g = sample(PiecewisePoly.single(Polynomial([1, 0, -1]), -1, 1), 1e-2)
+        chain = self_convolution(g, n).lp_mass(p)
+        assert float(objective_I(g, n, p)) == pytest.approx(chain, rel=1e-13, abs=0)
 
     def test_piecewise_needs_integer_exponent(self):
         # no silent grid fallback: the exact lane refuses p = 3/2

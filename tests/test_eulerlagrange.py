@@ -23,7 +23,7 @@ from renyiconv.euler_lagrange import (
     estimate_x6_grid,
     stationarity_kernel,
 )
-from renyiconv.grid import GridFunction
+from renyiconv.grid import GridFunction, _smooth_length
 from renyiconv.piecewise import PiecewisePoly, Polynomial, self_convolution
 from renyiconv.solver import SolverConfig, run_fixed_point
 
@@ -111,6 +111,16 @@ class TestElResidual:
         assert rep1.sup_residual == pytest.approx(rep2.sup_residual, rel=1e-9)
 
 
+    @pytest.mark.parametrize("n, p", [(2, 2.0), (3, 1.5)])
+    def test_one_cn_for_objective_and_kernel(self, rfft_lengths, irfft_lengths, n, p):
+        # I and the kernel share C_n and q's spectrum: 2 rffts and 2 irffts
+        q = GridFunction(-1.0, 0.01, np.linspace(0.5, 1.5, 201))
+        q = q.with_values(q.values / q.mass)
+        el_residual(q, n, p, q.lp_mass(p))
+        assert len(rfft_lengths) == len(irfft_lengths) == 2
+        assert set(rfft_lengths + irfft_lengths) == {_smooth_length(n * 200 + 1)}
+
+
 class TestStationarityKernel:
     @pytest.mark.parametrize("n, p", [(2, 3.0), (3, 1.5), (4, 2.0)])
     def test_matches_direct_convolution(self, rng, n, p):
@@ -176,6 +186,11 @@ class TestCounterexample:
         est = estimate_x6_grid(dx=1e-4)
         rel = abs(est - float(report.x6_coefficient)) / abs(float(report.x6_coefficient))
         assert rel < 1e-3
+
+    def test_grid_cross_check_keeps_pair_chain_bits(self):
+        # pinned to 1e-9 in the benchmark reference; the 5-smooth route
+        # would move it by 2.2e-8 relative
+        assert estimate_x6_grid(1e-4) == -0.014056640730410026
 
     def test_grid_cross_check_rejects_misaligned_step(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Grid layer: sampling, convolution, norms, rearrangement, CSV."""
 import math
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -91,7 +92,7 @@ class TestSharedInterface:
         assert g(0) == f(0) == 1
         assert g(0.5) == float(f(Fraction(1, 2)))
         for fh, gh in ((f, g), (f * Fraction(3), g * 3.0), (f.dilate(2), g.dilate(2.0)),
-                       (f.convolve(f), g.convolve(g))):
+                       (f.convolve(f), g.convolve(g)), (f.convolution_power(3), g.convolution_power(3))):
             assert gh.mass == pytest.approx(float(fh.mass), rel=1e-5)
             assert gh.lp_mass(2) == pytest.approx(float(fh.lp_mass(2)), rel=1e-5)
 
@@ -254,33 +255,36 @@ class TestConvolveProduct:
             assert irfft_lengths == [_smooth_length(n_out)] and _smooth_length(n_out) < L
 
     def test_shared_spectra_memo(self, rng, rfft_lengths):
-        # the stationarity kernel's pattern: C_2(a) in full, then a once and
-        # twice times another factor, windowed; all at the 5-smooth
-        # L = 600 >= 2N - 1
+        # the stationarity kernel's pattern: C_2(a) in full hands a's
+        # spectrum over to the next product with a, which takes it; all at
+        # the 5-smooth L = 600 >= 2N - 1
         dx, N = 0.01, 300
         a = GridFunction(-1.23, dx, rng.uniform(0, 1, N))
         t = GridFunction(0.4, dx, rng.uniform(0, 1, 2 * N - 1))
         s = GridFunction(0.1, dx, rng.uniform(0, 1, 100))
         L = _smooth_length(2 * N - 1)
+        lo, lo2 = a.x0 + t.x0 + (N - 1) * dx, 2 * a.x0 + s.x0 + 98 * dx
 
-        def windowed(spectra=None):
-            lo = a.x0 + t.x0 + (N - 1) * dx
-            lo2 = 2 * a.x0 + s.x0 + 98 * dx
-            return [convolve_grid(a, t, lo=lo, hi=lo + (N - 1) * dx, spectra=spectra),
-                    convolve_grid(a, a, s, lo=lo2, hi=lo2 + dx, spectra=spectra)]
+        def products(spectra=None):
+            yield convolve_grid(a, a, lo=2 * a.x0, spectra=spectra)
+            yield convolve_grid(a, t, lo=lo, hi=lo + (N - 1) * dx, spectra=spectra)
+            yield convolve_grid(a, a, s, lo=lo2, hi=lo2 + dx, spectra=spectra)
 
-        plain = [convolve_grid(a, a, lo=2 * a.x0)] + windowed()
+        plain = list(products())
         rfft_lengths.clear()
         memo = {}
-        shared = [convolve_grid(a, a, lo=2 * a.x0, spectra=memo)]
+        shared = products(memo)
+        first = [next(shared)]
+        assert list(memo) == [(id(a.values), L)] and memo[id(a.values), L][0] is a.values
         kept = memo[id(a.values), L][1].copy()
-        shared += windowed(memo)
-        # a's spectrum is taken once; t's and s's, used once each, are not kept
-        assert rfft_lengths == [L] * 3
-        assert list(memo) == [(id(a.values), L)]
-        assert memo[id(a.values), L][0] is a.values
+        first.append(next(shared))
+        # taken, not transformed again; t's spectrum, used once, is not kept
+        assert memo == {} and rfft_lengths == [L] * 2
+        first.append(next(shared))
+        # a is transformed again, and stored since the product repeats it
+        assert rfft_lengths == [L] * 4 and list(memo) == [(id(a.values), L)]
         assert np.array_equal(memo[id(a.values), L][1], kept)
-        for x, y in zip(plain, shared):
+        for x, y in zip(plain, first):
             assert x == y
 
     def test_rejects_bad_windows_and_spacing(self):
@@ -386,6 +390,22 @@ class TestCsv:
         path.write_text(text)
         with pytest.raises(ValueError, match=match):
             read_csv(str(path))
+
+    # numpy counts rows without blank lines, 0- or 1-based by error kind
+    @pytest.mark.parametrize("text, line", [
+        ("x,value\n0,1\n0.1\n0.2,1\n", 3),
+        ("x,value\n0,1\n   \n0.2,1\n", 3),
+        ("x,value\n0,1\n\n\n0.1\n", 5),
+        ("x,value\nzz,1\n0.1,1\n", 2),
+        ("x,value\r\n0,1\r\n0.1,1\r\n0.2,x\r\n", 4),
+        ('x,value\n0,1\n"0.1\n",1\n0.2,zz\n', 5),
+    ], ids=["short-row", "blank-ish", "after-blank-lines", "first-row", "crlf", "after-quoted-newline"])
+    def test_bad_row_names_its_file_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError, match=rf"\bline {line}\b") as err:
+            read_csv(str(path))
+        assert not re.search(r"\brow \d", str(err.value))
 
     def test_header_only_raises_without_warning(self, tmp_path):
         path = tmp_path / "bad.csv"

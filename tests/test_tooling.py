@@ -2,7 +2,9 @@
 
 The traced benchmark charges the transform sizes it observes to the next
 grid.convolve_grid span, so a transform taken anywhere else would be
-billed to the wrong call.
+billed to the wrong call.  Every transform there takes the one length
+convolve_grid chooses, so products that share a factor can share its
+spectrum, and a command's products run at as few lengths as possible.
 
 Exact values become floats in one place, PiecewisePoly.sample_lattice,
 which divides integers once per node instead of building a Fraction per
@@ -88,6 +90,54 @@ def test_finder_sees_every_spelling():
         "        return numpy.fft.irfft(x)\n"
     )
     assert fft_references(src) == [(1, ""), (2, ""), (3, ""), (5, "f"), (8, "C")]
+
+
+def transform_lengths(source: str) -> list[tuple[int, str]]:
+    """(line, length argument as written) of every call np.fft.F(a, n, ...)
+    or numpy.fft.F(a, n=...); '' when no length is given."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and isinstance(node.func.value, ast.Attribute) and node.func.value.attr == "fft" \
+                and isinstance(node.func.value.value, ast.Name) and node.func.value.value.id in ("np", "numpy"):
+            length = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "n"), None)
+            found.append((node.lineno, "" if length is None else ast.unparse(length)))
+    return sorted(found)
+
+
+def calls_of(name: str, source: str) -> list[tuple[int, str]]:
+    """(line, enclosing top-level function or '') of every call of name."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else ""
+        found += [(node.lineno, owner) for node in ast.walk(top) if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name) and node.func.id == name]
+    return sorted(found)
+
+
+def test_every_transform_takes_the_one_length():
+    # convolve_grid chooses n_fft once (5-smooth, or a power of two for a
+    # plain pair) and every transform takes it
+    source = (SRC / FFT_OWNER[0]).read_text()
+    lengths = transform_lengths(source)
+    assert lengths and {length for _, length in lengths} == {"n_fft"}
+    assert {owner for _, owner in calls_of("_smooth_length", source)} == {FFT_OWNER[1]}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != FFT_OWNER[0]:
+            assert not calls_of("_smooth_length", path.read_text()), path.name
+
+
+def test_length_finder_sees_every_spelling():
+    src = (
+        "def f(x, m):\n"
+        "    a = np.fft.rfft(x, m)\n"
+        "    b = numpy.fft.irfft(x, n=2 * m)\n"
+        "    return np.fft.fft(x), _smooth_length(m)\n"
+        "_smooth_length(3)\n"
+    )
+    assert transform_lengths(src) == [(2, "m"), (3, "2 * m"), (4, "")]
+    assert calls_of("_smooth_length", src) == [(4, "f"), (5, "")]
 
 
 def density_type_checks(source: str) -> list[int]:
