@@ -113,10 +113,14 @@ class _OutDir:
 
 def _sample_exact_on_unit(f: PiecewisePoly) -> GridFunction:
     """f at the rational plot nodes k/1000, k = -1000..1000, each the
-    correctly rounded float of the exact value."""
+    correctly rounded float of the exact value.  f must be even, as every
+    exact iterate is (ValueError otherwise): the nodes k >= 0 are
+    evaluated and mirrored, and one value rounds to one float."""
+    if not f.is_even():
+        raise ValueError("the plot sampler takes an even density")
     half = (PLOT_NODES - 1) // 2
-    vals = np.fromiter(f.sample_lattice(range(-half, half + 1), half), float, count=PLOT_NODES)
-    return GridFunction(-1.0, 1.0 / half, vals)
+    right = np.fromiter(f.sample_lattice(range(half + 1), half), float, count=half + 1)
+    return GridFunction(-1.0, 1.0 / half, np.concatenate([right[:0:-1], right]))
 
 
 def _sample_grid_on_unit(g: GridFunction) -> np.ndarray:

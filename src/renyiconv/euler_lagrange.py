@@ -121,13 +121,13 @@ def el_residual(q: GridFunction, n: int, p: float, M: float) -> ElResidualReport
 
 
 def _ls_affine_fit(K: PiecewisePoly, g: PiecewisePoly) -> tuple[Fraction, Fraction]:
-    """Exact least-squares fit of K ~ a g + b over [-1, 1]."""
-    lo, hi = Fraction(-1), Fraction(1)
-    kg = (K.restrict(lo, hi) * g).mass
-    k1 = K.integral(lo, hi)
+    """Exact least-squares fit of K ~ a g + b over [-1, 1], for K given
+    on [-1, 1] only."""
+    kg = (K * g).mass
+    k1 = K.mass
     gg = (g * g).mass
     g1 = g.mass
-    length = hi - lo
+    length = 2
     det = gg * length - g1 * g1
     a = (kg * length - g1 * k1) / det
     b = (gg * k1 - g1 * kg) / det
@@ -139,15 +139,16 @@ def counterexample_check() -> CounterexampleReport:
     affine fixed point of its triple self convolution.
 
     Takes G(x) = (3/4)(1 - x^2)_+ exactly (exact_gengauss_p2 at beta = 1),
-    convolves it with itself twice, and reads off the degree-6 coefficient
-    of the piece containing the origin: it is nonzero, while any a G + b
-    is quadratic there.  The
-    verdict is scale invariant, so fixing the unit-support normalization
-    loses nothing.  Also verifies the supporting identity that the triple
-    self convolution of -2 on [-1, 1] equals -8(3 - x^2) there.
+    convolves it with itself twice on [-1, 1], G's support and all that
+    is read, and reads off the degree-6 coefficient of the piece
+    containing the origin: it is nonzero, while any a G + b is quadratic
+    there.  The verdict is scale invariant, so fixing the unit-support
+    normalization loses nothing.  Also verifies the supporting identity
+    that the triple self convolution of -2 on [-1, 1] equals -8(3 - x^2)
+    there.
     """
     g = exact_gengauss_p2(Fraction(1))[1]
-    K = self_convolution(g, 3)
+    K = g.convolve(g).convolve(g, -1, 1)
     mid = None
     for lo, hi, piece in K.intervals():
         if lo <= 0 < hi:
@@ -163,12 +164,12 @@ def counterexample_check() -> CounterexampleReport:
 
     # max of |K - a g - b| over the nodes k/1000 of [-1, 1]; rounding to
     # the nearest float is monotone and odd, so this is float of the exact max
-    resid = K.restrict(-1, 1) - g * a - PiecewisePoly.indicator(-1, 1, b)
+    resid = K - g * a - PiecewisePoly.indicator(-1, 1, b)
     sup = max(map(abs, resid.sample_lattice(range(-1000, 1001), 1000)))
 
     # triple self convolution of -2 on [-1,1], compared on [-1,1]
     m2 = PiecewisePoly.indicator(-1, 1, -2)
-    m2c = self_convolution(m2, 3).restrict(-1, 1)
+    m2c = m2.convolve(m2).convolve(m2, -1, 1)
     target = PiecewisePoly.single(Polynomial([-24, 0, 8]), -1, 1)
     identity_holds = m2c == target
 

@@ -9,7 +9,12 @@ are pure functions.
 The hot kernels work on integer numerators over a common denominator:
 Horner's rule for evaluation, and for convolution the truncated-power
 ("jump") form of de Boor, A Practical Guide to Splines, with integer Taylor
-shifts (von zur Gathen and Gerhard, ISSAC 1997); see PiecewisePoly.convolve.
+shifts (von zur Gathen and Gerhard, ISSAC 1997): one shift per breakpoint
+of each factor, of the difference of the pieces meeting there, and one
+per output cut.  A convolution takes a window [lo, hi] and builds only
+that part of the product: the terms that start at or beyond hi are never
+formed, and pieces below lo are summed through but not built; see
+PiecewisePoly.convolve.
 
 Floats leave this module through one route, PiecewisePoly.sample_lattice:
 at nodes m / den sharing one denominator, each value is an integer Horner
@@ -217,6 +222,8 @@ def _jumps(f: "PiecewisePoly", scale: int) -> tuple[dict[int, list[int]], int]:
 
     Returns ({scale * b: [u_0, ..., u_d]}, den): u_k / den is the jump at
     scale * b of the k-th derivative in y, with d the largest piece degree.
+    The shift is linear, so each jump is one Taylor shift of the
+    difference of the pieces that meet at b.
     """
     d = max(p.degree for p in f.pieces)
     den = lcm(*(c.denominator for p in f.pieces for c in p.coeffs))
@@ -225,8 +232,8 @@ def _jumps(f: "PiecewisePoly", scale: int) -> tuple[dict[int, list[int]], int]:
         beta = b.numerator * (scale // b.denominator)
         cur = [c.numerator * (den // c.denominator) * scale ** (d - k) for k, c in enumerate(p.coeffs)]
         cur += [0] * (d - p.degree)
-        right, left = _taylor_shift(cur, beta), _taylor_shift(prev, beta)
-        jumps[beta] = [factorial(k) * (r - l) for k, (r, l) in enumerate(zip(right, left))]
+        shifted = _taylor_shift([c - q for c, q in zip(cur, prev)], beta)
+        jumps[beta] = [factorial(k) * u for k, u in enumerate(shifted)]
         prev = cur
     return jumps, den * scale ** d
 
@@ -299,6 +306,24 @@ class PiecewisePoly:
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.pieces)
+
+    def is_even(self) -> bool:
+        """Whether f(-x) = f(x) for every x, read off the coefficients.
+
+        The breakpoints mirror through 0 and each piece is its partner
+        with odd coefficients negated.  Pieces are half open, so f(b) at
+        an interior breakpoint b > 0 comes from the right piece and f(-b)
+        from the mirror of the left one: the two must agree at b.
+        """
+        if self.is_zero():
+            return True
+        bps, pcs = self.breakpoints, self.pieces
+        return (
+            all(b == -c for b, c in zip(bps, reversed(bps)))
+            and all(p.coeffs == tuple(-c if k % 2 else c for k, c in enumerate(q.coeffs))
+                    for p, q in zip(pcs, reversed(pcs)))
+            and all(left(b) == right(b) for b, left, right in zip(bps[1:-1], pcs, pcs[1:]) if b > 0)
+        )
 
     def intervals(self) -> Iterator[tuple[Fraction, Fraction, Polynomial]]:
         for i, p in enumerate(self.pieces):
@@ -404,15 +429,6 @@ class PiecewisePoly:
             raise ValueError("power_int requires m >= 1")
         return PiecewisePoly(self.breakpoints, [p.pow_int(m) for p in self.pieces])
 
-    def restrict(self, lo: RationalLike, hi: RationalLike) -> "PiecewisePoly":
-        """Restriction to [lo, hi] (zero outside)."""
-        lo, hi = as_fraction(lo), as_fraction(hi)
-        if lo >= hi:
-            raise ValueError("empty restriction interval")
-        cuts = [lo] + [b for b in self.breakpoints if lo < b < hi] + [hi]
-        pieces = [self._poly_at((a + b) / 2) for a, b in zip(cuts, cuts[1:])]
-        return PiecewisePoly(cuts, pieces)
-
     def dilate(self, lam: RationalLike) -> "PiecewisePoly":
         """Return x -> self(x / lam) for rational lam > 0."""
         lam = as_fraction(lam)
@@ -496,8 +512,11 @@ class PiecewisePoly:
     # ------------------------------------------------------------------
     # convolution
 
-    def convolve(self, other: "PiecewisePoly") -> "PiecewisePoly":
-        """Exact convolution (f * g)(x) = int f(t) g(x - t) dt, in jump form.
+    def convolve(self, other: "PiecewisePoly", lo: RationalLike | None = None,
+                 hi: RationalLike | None = None) -> "PiecewisePoly":
+        """Exact convolution (f * g)(x) = int f(t) g(x - t) dt, in jump form,
+        on the window [lo, hi]: exactly f * g on [lo, hi] and zero outside,
+        with an end left out taken as unbounded.
 
         In truncated powers, f = sum J_{a,j} (x-a)_+^j / j! over breakpoints
         a and orders j, with J_{a,j} the jump of the j-th derivative at a,
@@ -508,17 +527,39 @@ class PiecewisePoly:
         the jump of order m of f * g at s is the sum of J_{a,j} J_{b,k} over
         a + b = s and j + k + 1 = m.  One integer Taylor shift per distinct s
         turns jumps back into monomials, and a running sum over s gives the
-        pieces.  The variable is scaled so that every breakpoint is an
-        integer, and all of it is integer arithmetic over one denominator.
+        pieces.  The jumps of each factor at a breakpoint are one Taylor
+        shift of the difference of the pieces meeting there, and f * f
+        takes one jump form for both factors.  The variable is scaled so
+        that every breakpoint and both window ends are integers, and all
+        of it is integer arithmetic over one denominator.
+
+        Only the window is built.  A term at s >= hi is zero below hi, so
+        pairs with a + b >= hi are skipped and no cut at or beyond hi is
+        shifted.  The running sum passes every cut below lo, but pieces
+        become Fractions only from lo on.  An empty window (lo >= hi)
+        raises ValueError; a window that misses the support gives zero.
         """
+        lo = None if lo is None else as_fraction(lo)
+        hi = None if hi is None else as_fraction(hi)
+        if lo is not None and hi is not None and lo >= hi:
+            raise ValueError(f"empty window [{lo}, {hi}]")
         if self.is_zero() or other.is_zero():
             return PiecewisePoly.zero()
-        scale = lcm(*(b.denominator for b in self.breakpoints + other.breakpoints))
-        (jf, den_f), (jg, den_g) = _jumps(self, scale), _jumps(other, scale)
+        start, end = (u + v for u, v in zip(self.support, other.support))
+        if (hi is not None and hi <= start) or (lo is not None and lo >= end):
+            return PiecewisePoly.zero()
+        window = tuple(w for w in (lo, hi) if w is not None)
+        scale = lcm(*(b.denominator for b in self.breakpoints + other.breakpoints + window))
+        w0 = -inf if lo is None else lo.numerator * (scale // lo.denominator)
+        w1 = inf if hi is None else hi.numerator * (scale // hi.denominator)
+        jf, den_f = _jumps(self, scale)
+        jg, den_g = (jf, den_f) if other is self else _jumps(other, scale)
         top = max(p.degree for p in self.pieces) + max(p.degree for p in other.pieces) + 1
         acc: dict[int, list[int]] = {}
         for a, uf in jf.items():
-            for b, ug in jg.items():
+            for b, ug in jg.items():  # b increases: the rest start at or beyond hi
+                if a + b >= w1:
+                    break
                 out = acc.setdefault(a + b, [0] * (top + 1))
                 for j, u in enumerate(uf):
                     if u:
@@ -527,12 +568,18 @@ class PiecewisePoly:
         # jumps are in y = scale * x, and dy = scale dx
         den = den_f * den_g * factorial(top) * scale
         cuts = sorted(acc)
+        # the run is zero past the support end, the last cut when it is
+        # below hi; otherwise hi closes the last piece
+        edges = cuts if hi is None or end < hi else cuts + [w1]
         pieces, run = [], [0] * (top + 1)
-        for s in cuts[:-1]:
+        for s, t in zip(edges, edges[1:]):
             taylor = [u * (factorial(top) // factorial(m)) for m, u in enumerate(acc[s])]
-            run = [r + t for r, t in zip(run, _taylor_shift(taylor, -s))]
-            pieces.append(Polynomial([Fraction(c * scale ** k, den) for k, c in enumerate(run)]))
-        return PiecewisePoly([Fraction(s, scale) for s in cuts], pieces)
+            run = [r + c for r, c in zip(run, _taylor_shift(taylor, -s))]
+            if t > w0:
+                pieces.append(Polynomial([Fraction(c * scale ** k, den) for k, c in enumerate(run)]))
+        bps = edges[len(edges) - len(pieces) - 1:]
+        bps[0] = max(bps[0], w0)
+        return PiecewisePoly([Fraction(s, scale) for s in bps], pieces)
 
     def convolution_power(self, n: int) -> "PiecewisePoly":
         """C_n(f), the n-fold self convolution: the pair chain, exact."""

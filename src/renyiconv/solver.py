@@ -129,12 +129,12 @@ def _kernel_of(f: Density, n: int, p: float) -> Density:
     first-variation kernel T(C_{n-1}(f)) * C_n(f) for an even f, and the
     update makes every grid iterate even.  Otherwise it is the
     first-variation kernel, stationarity_kernel: 4 transforms (two
-    rffts, two irffts).  A grid kernel covers f's own nodes only; an
-    exact one is the whole triple self convolution."""
+    rffts, two irffts).  A kernel covers only what the update and the
+    final fit read: a grid kernel f's own nodes, an exact one [-1, 1]."""
     if isinstance(f, PiecewisePoly):
         if (n, p) != (2, 2):
             raise ValueError("exact iteration supports only n = 2, p = 2")
-        return self_convolution(f, 3)
+        return f.convolve(f).convolve(f, -1, 1)
     if p == 2:
         return _grid.convolve_grid(*[f] * (2 * n - 1), lo=f.x0, hi=f.x_end)
     return stationarity_kernel(f, n, p)
@@ -160,7 +160,7 @@ def iterate_once(f: Density, n: int = 2, p: float = 2.0) -> Step:
     if k0 == k1:
         raise DegenerateNormalizer("K(0) = K(1)")
     if exact:
-        g = (K.restrict(-1, 1) - PiecewisePoly.indicator(-1, 1, k1)) * (1 / (k0 - k1))
+        g = (K - PiecewisePoly.indicator(-1, 1, k1)) * (1 / (k0 - k1))
         g.assert_nonnegative()
         return Step(g, k0 - k1, k1, False)
     i_lo, i_hi = K.node_index(-1.0), K.node_index(1.0)

@@ -9,7 +9,8 @@ no renyiconv command runs.
 - the n = 2, p = 2 consistency of a fixed point with the stationarity
   coefficients (acceptance criterion 3);
 - exact reflection and translation of a PiecewisePoly, which the
-  pointwise convolution oracle builds g(x - t) from;
+  pointwise convolution oracle builds g(x - t) from, and restriction,
+  which the windowed convolution is checked against;
 - the pointwise value of a generalized Gaussian, for quadrature.
 
 They reuse renyiconv's own spacing, lattice and convolution code rather
@@ -176,6 +177,15 @@ def reflect(f: PiecewisePoly) -> PiecewisePoly:
         [-b for b in reversed(f.breakpoints)],
         [p.compose_linear(-1, 0) for p in reversed(f.pieces)],
     )
+
+
+def restrict(f: PiecewisePoly, lo: RationalLike, hi: RationalLike) -> PiecewisePoly:
+    """f on [lo, hi], zero outside."""
+    lo, hi = as_fraction(lo), as_fraction(hi)
+    if lo >= hi:
+        raise ValueError("empty restriction interval")
+    cuts = [lo] + [b for b in f.breakpoints if lo < b < hi] + [hi]
+    return PiecewisePoly(cuts, [f._poly_at((a + b) / 2) for a, b in zip(cuts, cuts[1:])])
 
 
 def translate(f: PiecewisePoly, shift: RationalLike) -> PiecewisePoly:

@@ -1,13 +1,15 @@
 """Exact piecewise-polynomial layer: algebra, convolution, sampling,
 serialization."""
+import functools
 import sys
 from fractions import Fraction
 from math import ceil, floor, lcm
 
+import numpy as np
 import pytest
 
-from renyiconv import cli, grid
-from instruments import reflect, translate
+from renyiconv import cli, grid, piecewise
+from instruments import reflect, restrict, translate
 from renyiconv.piecewise import (
     NegativeDensity,
     PiecewisePoly,
@@ -15,6 +17,7 @@ from renyiconv.piecewise import (
     format_rational,
     self_convolution,
 )
+from renyiconv.solver import _kernel_of, iterate_once
 
 HALF = Fraction(1, 2)
 
@@ -27,16 +30,26 @@ def rand_fraction(rng, num=9, den=9):
     return Fraction(int(rng.integers(-num, num + 1)), int(rng.integers(1, den + 1)))
 
 
-def rand_piecewise(rng):
-    """Up to four pieces of degree <= 3, generally discontinuous, on
-    breakpoints with denominators 1..12; a quarter of the pieces are zero."""
+def rand_piecewise(rng, max_degree=3):
+    """Up to four pieces of degree <= max_degree, generally discontinuous,
+    on breakpoints with denominators 1..12; a quarter of the pieces are
+    zero."""
     bps = set()
     while len(bps) < 2:
         bps = {rand_fraction(rng, 24, 12) for _ in range(int(rng.integers(2, 6)))}
     pieces = [Polynomial([] if rng.random() < 0.25 else
-                         [rand_fraction(rng) for _ in range(int(rng.integers(1, 5)))])
+                         [rand_fraction(rng) for _ in range(int(rng.integers(1, max_degree + 2)))])
               for _ in range(len(bps) - 1)]
     return PiecewisePoly(sorted(bps), pieces)
+
+
+@functools.cache
+def exact_iterates():
+    """f0..f4 of the exact update, f0 the indicator of [-1, 1]."""
+    fs = [indicator()]
+    for _ in range(4):
+        fs.append(iterate_once(fs[-1]).f)
+    return tuple(fs)
 
 
 def fraction_horner(p, x):
@@ -127,7 +140,7 @@ class TestPiecewisePolyBasics:
 
     def test_restrict(self):
         f = indicator(-2, 2)
-        g = f.restrict(-1, 1)
+        g = restrict(f, -1, 1)
         assert g.support == (-1, 1)
         assert g.mass == 2
 
@@ -242,6 +255,132 @@ class TestConvolution:
         assert lhs == rhs
 
 
+def window_cases(rng, s0, s1, cuts):
+    """Windows on a product supported on [s0, s1] with breakpoint sums
+    cuts: inside, straddling either end, covering, from a cut, outside,
+    touching an end and one-sided.  a and b are off the breakpoint
+    lattice unless 13 or 17 cancels."""
+    w = s1 - s0
+    a, b = sorted(s0 + w * Fraction(int(m), 221) for m in rng.choice(np.arange(1, 221), 2, replace=False))
+    c = cuts[int(rng.integers(0, len(cuts) - 1))]
+    return [
+        (a, b),
+        (s0 - Fraction(1, 7), a),
+        (b, s1 + Fraction(2, 13)),
+        (s0 - 1, s1 + 1),
+        (c, b if b > c else s1 + 1),
+        (s0 - 2, s0 - 1),
+        (s0 - 1, s0),
+        (s1, s1 + 1),
+        (s1 + Fraction(1, 3), s1 + 2),
+        (None, a),
+        (b, None),
+        (None, None),
+    ]
+
+
+class TestWindowedConvolution:
+    """f.convolve(g, lo, hi) is f * g restricted to [lo, hi], built from
+    the window alone."""
+
+    def test_matches_restricted_product(self, rng, trials):
+        far = Fraction(1000)
+        for _ in range(trials):
+            f, g = rand_piecewise(rng, 4), rand_piecewise(rng, 4)
+            for h in (g, f):  # h is f: the self path
+                full = f.convolve(h)
+                s0, s1 = f.support[0] + h.support[0], f.support[1] + h.support[1]
+                cuts = sorted({a + b for a in f.breakpoints for b in h.breakpoints})
+                for lo, hi in window_cases(rng, s0, s1, cuts):
+                    want = restrict(full, -far if lo is None else lo, far if hi is None else hi)
+                    assert f.convolve(h, lo, hi) == want, (f, h, lo, hi)
+
+    def test_empty_window_raises(self):
+        for lo, hi in ((1, 1), (Fraction(1, 2), 0)):
+            with pytest.raises(ValueError, match=rf"empty window \[{lo}, {hi}\]"):
+                indicator().convolve(indicator(), lo, hi)
+
+    def test_window_missing_the_support_is_zero(self):
+        # indicator * indicator lives on [-2, 2]
+        for lo, hi in ((-5, -3), (-3, -2), (2, 3), (Fraction(7, 3), 5)):
+            assert indicator().convolve(indicator(), lo, hi) == PiecewisePoly.zero()
+
+    @pytest.fixture
+    def shifts(self, monkeypatch):
+        """The number of Taylor shifts made during the test, in a list."""
+        count, shift = [0], piecewise._taylor_shift
+
+        def counted(cs, s):
+            count[0] += 1
+            return shift(cs, s)
+
+        monkeypatch.setattr(piecewise, "_taylor_shift", counted)
+        return count
+
+    def test_one_shift_per_breakpoint_and_cut_below_hi(self, shifts):
+        tent = indicator().convolve(indicator())
+        for f in exact_iterates() + (tent,):
+            bps = f.breakpoints
+            shifts[0] = 0
+            f.convolve(f, -1, 1)
+            assert shifts[0] == len(bps) + len({a + b for a in bps for b in bps if a + b < 1})
+
+    def test_exact_kernel_is_one_piece_on_the_unit_interval(self, shifts):
+        for f in exact_iterates()[1:]:
+            shifts[0] = 0
+            K = _kernel_of(f, 2, 2.0)
+            # f * f: 2 jump shifts, cuts -2 and 0; (f * f) * f on [-1, 1]:
+            # 3 + 2 jump shifts, cuts -3 and -1
+            assert shifts[0] == 11
+            assert K.breakpoints == (-1, 1) and len(K.pieces) == 1
+            assert K == restrict(self_convolution(f, 3), -1, 1)
+
+
+def evenness_oracle(f):
+    """f(x) == f(-x) at every breakpoint and piece midpoint of f and of
+    its mirror image."""
+    cuts = sorted(set(f.breakpoints) | {-b for b in f.breakpoints})
+    xs = cuts + [(a + b) / 2 for a, b in zip(cuts, cuts[1:])]
+    return all(f.eval(x) == f.eval(-x) for x in xs)
+
+
+class TestEvenness:
+    def test_exact_iterates_are_even(self):
+        assert all(f.is_even() for f in exact_iterates())
+
+    def test_translated_or_asymmetric_is_not_even(self):
+        f4 = exact_iterates()[4]
+        assert not translate(f4, Fraction(1, 3)).is_even()
+        assert not indicator(-1, 2).is_even()
+        assert not PiecewisePoly.single(Polynomial([HALF, HALF]), -1, 1).is_even()
+        # mirrored pieces with a jump at +-1: f(1) = 1 but f(-1) = 2
+        stairs = PiecewisePoly([-2, -1, 1, 2], [Polynomial([1]), Polynomial([2]), Polynomial([1])])
+        assert not stairs.is_even()
+
+    def test_even_shapes(self):
+        assert PiecewisePoly.zero().is_even()
+        assert indicator().convolve(indicator()).is_even()
+
+    def test_matches_pointwise_definition(self, rng, trials):
+        # pieces of f + T(f) always mirror, so its breakpoint values decide;
+        # an autocorrelation is even and continuous
+        for _ in range(max(1, trials // 4)):
+            f = rand_piecewise(rng)
+            for h in (f + reflect(f), f.convolve(reflect(f))):
+                assert h.is_even() == evenness_oracle(h)
+            assert f.convolve(reflect(f)).is_even()
+
+    def test_plot_sampler_mirrors_the_full_walk(self):
+        for f in exact_iterates():
+            full = list(f.sample_lattice(range(-1000, 1001), 1000))
+            assert cli._sample_exact_on_unit(f).values.tolist() == full
+
+    def test_plot_sampler_refuses_an_uneven_density(self):
+        for f in (indicator(-1, 2), translate(exact_iterates()[2], Fraction(1, 5))):
+            with pytest.raises(ValueError, match="even"):
+                cli._sample_exact_on_unit(f)
+
+
 def rand_sampled_piecewise(rng):
     """Up to five pieces of degree <= 9 on breakpoints in [-3, 3] with
     denominators 1..12 (dyadic and not): each piece is zero, even
@@ -306,7 +445,9 @@ class TestSampleLattice:
                 assert g.values.tolist() == [float(f.eval(Fraction(x))) for x in xs]
 
     def test_plot_sampler_matches_eval_on_k_over_1000(self, rng):
-        f = rand_sampled_piecewise(rng).power_int(2).dilate(Fraction(1, 3))
+        # the sampler takes even densities: an autocorrelation is one
+        g = rand_sampled_piecewise(rng).power_int(2)
+        f = g.convolve(reflect(g)).dilate(Fraction(1, 3))
         ks = range(-1000, 1001)
         assert cli._sample_exact_on_unit(f).values.tolist() == reference(f, ks, 1000)
 
@@ -332,7 +473,7 @@ class TestSampleLattice:
         with pytest.raises(OverflowError):
             grid.sample(f, 0.5)
         with pytest.raises(OverflowError):
-            cli._sample_exact_on_unit(f)
+            cli._sample_exact_on_unit(f.power_int(2))  # even in every case
 
     def test_rejects_decreasing_nodes(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from instruments import consistency_with_el, reflect
+from instruments import consistency_with_el, reflect, restrict
 from renyiconv.entropy import ConstraintSet, objective_I
 from renyiconv.euler_lagrange import stationarity_kernel
 from renyiconv.grid import GridFunction, _smooth_length, sample
@@ -43,7 +43,7 @@ def renormalized_update(f: PiecewisePoly) -> PiecewisePoly:
     convolution; same formula iterate_once implements."""
     K = self_convolution(f, 3)
     k0, k1 = K.eval(0), K.eval(1)
-    shifted = K.restrict(-1, 1) - PiecewisePoly.indicator(-1, 1, k1)
+    shifted = restrict(K, -1, 1) - PiecewisePoly.indicator(-1, 1, k1)
     return shifted * (1 / (k0 - k1))
 
 
@@ -118,16 +118,16 @@ class TestExactIteration:
     def test_mixed_factor_product_yields_quartic(self):
         # convolving f1 with the indicator twice (not f1 three times) and
         # renormalizing lands exactly on the quartic profile
-        K = F1.convolve(F0).convolve(F0)
+        K = F1.convolve(F0).convolve(F0, -1, 1)
         k0, k1 = K.eval(0), K.eval(1)
-        g = (K.restrict(-1, 1) - PiecewisePoly.indicator(-1, 1, k1)) * (1 / (k0 - k1))
+        g = (K - PiecewisePoly.indicator(-1, 1, k1)) * (1 / (k0 - k1))
         assert g == QUARTIC
 
     def test_mixed_factor_product_yields_degree_10(self):
         # one more such step: quartic twice with one indicator factor
-        K = QUARTIC.convolve(QUARTIC).convolve(F0)
+        K = QUARTIC.convolve(QUARTIC).convolve(F0, -1, 1)
         k0, k1 = K.eval(0), K.eval(1)
-        g = (K.restrict(-1, 1) - PiecewisePoly.indicator(-1, 1, k1)) * (1 / (k0 - k1))
+        g = (K - PiecewisePoly.indicator(-1, 1, k1)) * (1 / (k0 - k1))
         assert g == DEG10
 
     def test_update_from_quartic_does_not_return_degree_10(self):
