@@ -68,10 +68,21 @@ def _atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+@functools.cache
+def _plot_csv_template() -> str:
+    """The plot CSV over PLOT_XS, x spelled out and a %.17g slot for each
+    value: the abscissa is formatted once per process."""
+    return "".join([f"{_grid.CSV_HEADER}\n", *("%.17g,%%.17g\n" % x for x in PLOT_XS.tolist())])
+
+
 def _write_plot_csv(path: str, xs: np.ndarray, vals: np.ndarray) -> None:
     # Python floats format to the same text as numpy scalars, and faster
-    rows = zip(np.asarray(xs).tolist(), np.asarray(vals).tolist())
-    _atomic_write_text(path, "".join([f"{_grid.CSV_HEADER}\n", *(f"{x:.17g},{v:.17g}\n" for x, v in rows)]))
+    vs = np.asarray(vals).tolist()
+    if xs is PLOT_XS:
+        text = _plot_csv_template() % tuple(vs)
+    else:
+        text = "".join([f"{_grid.CSV_HEADER}\n", *map("%.17g,%.17g\n".__mod__, zip(np.asarray(xs).tolist(), vs))])
+    _atomic_write_text(path, text)
 
 
 def _fmt(obj):

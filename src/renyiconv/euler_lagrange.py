@@ -114,7 +114,7 @@ def el_residual(q: GridFunction, n: int, p: float, M: float) -> ElResidualReport
     xs = q.nodes[mask]
     return ElResidualReport(
         sup_residual=float(np.max(np.abs(resid))),
-        l2_residual=float(math.sqrt(q.dx * math.fsum(memoryview(resid * resid)))),
+        l2_residual=float(math.sqrt(q.dx * _grid.exact_sum(resid * resid))),
         fitted_scale=fitted_scale,
         domain=(float(xs.min()), float(xs.max())),
     )

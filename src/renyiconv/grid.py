@@ -27,6 +27,38 @@ NEGATIVE_CLAMP = 1e-12
 _CONV_CLAMP_REL = 1e-10
 _SPACING_RTOL = 1e-12
 CSV_HEADER = "x,value"  # of the plot CSVs, written by the CLI and read by read_csv
+_SUM_BLOCK = 1 << 14  # values per bincount in exact_sum: bucket sums stay below 2^41
+_NODE_CHUNK = 1 << 10  # nodes per numpy call in sample
+
+
+def exact_sum(a: np.ndarray) -> float:
+    """The correctly rounded sum of a 1-D float array, the bits math.fsum
+    gives, without a Python float per element (where fsum raises because
+    a partial sum overflows, a finite total is still returned).
+
+    Each value is M 2^(e-53) with an integer |M| < 2^53 (frexp), split as
+    M = H 2^27 + L with 0 <= L < 2^27.  bincount sums the halves per e, in
+    blocks of 2^14 values, so every bucket sum stays below 2^53 and is
+    exact; the buckets meet in one Python int, divided once by a power of
+    two, which rounds correctly.  Non-finite input goes to math.fsum, so an
+    overflowed power still sums to inf; a finite total beyond the float
+    range raises OverflowError, as math.fsum does.
+    """
+    if not (a.size and math.isfinite(float(a.min())) and math.isfinite(float(a.max()))):
+        return math.fsum(memoryview(a))
+    total = 0
+    for start in range(0, a.size, _SUM_BLOCK):
+        mant, ex = np.frexp(a[start:start + _SUM_BLOCK])
+        mant *= 2.0 ** 26  # M / 2^27, exact
+        high = np.floor(mant)  # H
+        mant -= high  # L / 2^27
+        base = int(ex.min())
+        ex -= base
+        hs = np.bincount(ex, weights=high).astype(np.int64).tolist()
+        ls = (np.bincount(ex, weights=mant) * 2.0 ** 27).astype(np.int64).tolist()
+        # bucket b holds e = base + b, where M is worth 2^(b + base + 1073) / 2^1126
+        total += sum(((h << 27) + lo) << (b + base + 1073) for b, (h, lo) in enumerate(zip(hs, ls)) if h or lo)
+    return total / (1 << 1126)
 
 
 def _lattice_index(x: float, x0: float, dx: float, size: int) -> int:
@@ -101,14 +133,14 @@ class GridFunction:
 
     @property
     def mass(self) -> float:
-        """Rectangle-rule integral dx * sum(values), fsum over a memoryview (no list)."""
-        return self.dx * math.fsum(memoryview(self.values))
+        """Rectangle-rule integral dx * sum(values), the sum correctly rounded."""
+        return self.dx * exact_sum(self.values)
 
     def lp_mass(self, p) -> float:
         """dx * sum f[i]^p, the p-th power of the grid L^p norm, for p >= 1."""
         if not (p >= 1):
             raise ValueError("lp_mass requires p >= 1")
-        return self.dx * math.fsum(memoryview(np.power(self.values, float(p))))
+        return self.dx * exact_sum(np.power(self.values, float(p)))
 
     def node_index(self, x: float) -> int:
         """Index of the node at x; raises if x is not a node."""
@@ -165,21 +197,27 @@ def sample(f: PiecewisePoly, dx: float) -> GridFunction:
     lo = float(support start).
 
     Each value is the correctly rounded float of f's exact value at the
-    node x_k itself (a float is an exact dyadic rational).  The nodes go
-    to PiecewisePoly.sample_lattice as integer numerators over the
-    largest of their power-of-two denominators, generated twice rather
-    than stored.
+    node x_k itself (a float is an exact dyadic rational).  numpy forms
+    the nodes with the same two roundings as lo + k*dx, and splits each
+    into M 2^(e-53) with an integer M below 2^53 (frexp); the nodes go to
+    PiecewisePoly.sample_lattice as integer numerators over the one power
+    of two that the smallest e needs, so its certified fast path serves
+    every node.
     """
     if not (dx > 0):
         raise ValueError("dx must be positive")
     lo, hi = float(f.support[0]), float(f.support[1])
     n = max(2, int(math.ceil((hi - lo) / dx - 1e-9)) + 1)
+    xs = lo + np.arange(n) * dx
+    low = min(int(np.frexp(xs)[1].min()), 53)
 
-    def ratios():
-        return ((lo + k * dx).as_integer_ratio() for k in range(n))
+    def numerators():
+        # a chunk at a time: no list of n Python ints is held
+        for start in range(0, n, _NODE_CHUNK):
+            mant, ex = np.frexp(xs[start:start + _NODE_CHUNK])
+            yield from map(int.__lshift__, (mant * 2.0 ** 53).astype(np.int64).tolist(), (ex - low).tolist())
 
-    den = max(q for _, q in ratios())
-    vals = np.fromiter(f.sample_lattice((m * (den // q) for m, q in ratios()), den), float, count=n)
+    vals = np.fromiter(f.sample_lattice(numerators(), 1 << (53 - low)), float, count=n)
     return GridFunction(lo, dx, vals)
 
 

@@ -19,13 +19,16 @@ PiecewisePoly.convolve.
 Floats leave this module through one route, PiecewisePoly.sample_lattice:
 at nodes m / den sharing one denominator, each value is an integer Horner
 sum divided once by an integer, which CPython rounds correctly, so it is
-the float of the exact value without building a Fraction per node.
+the float of the exact value without building a Fraction per node.  At a
+power-of-two den, as at every float node, a fixed-point Horner with a
+proven error bound comes first, and the exact sum runs only where that
+bound leaves the rounding in doubt (Ziv, ACM TOMS 17, 1991).
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from math import factorial, inf, lcm
+from math import ceil, factorial, inf, lcm, ldexp
 from typing import Iterable, Iterator, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -33,6 +36,9 @@ RationalLike = Union[Fraction, int, str]
 # assert_nonnegative: samples per piece, bisection steps per sign change
 _NONNEG_SAMPLES = 64
 _NONNEG_BISECT_STEPS = 30
+# sample_lattice's fixed-point Horner: fraction bits, far below the 1074
+# of the smallest subnormal, so a certified value is never 0 or subnormal
+_FIXED_BITS = 192
 
 
 class NegativeDensity(ValueError):
@@ -124,6 +130,23 @@ class Polynomial:
         ks = range(d, -1, -2 if even else -1)
         return [nums[k] * den ** (d - k) for k in ks], cden * den ** d, even
 
+    def _fixed_form(self, bound: int) -> tuple[list[int], int, bool]:
+        """(terms, err, even) of the fixed-point Horner for |x| <= bound, an
+        integer >= 1: terms are round(a_k 2^S) (highest degree first; only
+        even degrees when every odd coefficient is zero), S = _FIXED_BITS.
+
+        With y = x, or x^2 when even, the loop acc = floor(acc y) + term
+        ends within err of 2^S p(x): each term is off by at most 1/2, each
+        floor by less than 1, and an error grows by at most |y| <= X per
+        step, so n terms stay within 3 n X^(n-1) / 2, X = bound (squared
+        when even)."""
+        nums, den = self._integers()
+        even = not any(nums[1::2])
+        ks = range(len(nums) - 1, -1, -2 if even else -1)
+        terms = [((nums[k] << (_FIXED_BITS + 1)) + den) // (2 * den) for k in ks]
+        x, n = (bound * bound if even else bound), len(terms)
+        return terms, (3 * n * x ** max(n - 1, 0) + 1) // 2, even
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
 
@@ -204,6 +227,17 @@ class Polynomial:
 
 
 _ZERO_POLY = Polynomial()
+
+
+def _exact_value(form: tuple[list[int], int, bool], m: int) -> float:
+    """The float of a piece at m / den, from its _lattice_form(den): the
+    exact Horner sum over the divisor, one correctly rounded division."""
+    terms, divisor, even = form
+    x = m * m if even else m
+    acc = 0
+    for t in terms:
+        acc = acc * x + t
+    return acc / divisor
 
 
 def _taylor_shift(cs: list[int], s: int) -> list[int]:
@@ -352,14 +386,27 @@ class PiecewisePoly:
         unreduced Horner numerator over its denominator, one int/int true
         division, which CPython rounds correctly, subnormals included, and
         which raises OverflowError beyond the float range, as float() of
-        the reduced Fraction does.  A piece is brought to the shared
-        denominator once, when a node first falls on it.  The walk finds
-        pieces by integer thresholds: m / den >= b iff m >= ceil(b den).
+        the reduced Fraction does.  The walk finds pieces by integer
+        thresholds: m / den >= b iff m >= ceil(b den).
+
+        At a power of two den = 2^e, which every float node has, the
+        piece's fixed-point Horner (Polynomial._fixed_form) runs first, on
+        integers of about S = 192 bits: acc = (acc y >> e) + term, y = m
+        (or m^2 and 2e when even).  It brackets 2^S p(x) within acc +- err.
+        int-to-float conversion rounds correctly and monotonically, so when
+        float(acc - err) and float(acc + err) are one float, it is the
+        float of 2^S p(x), and scaled by 2^-S, exactly (a nonzero bracket
+        end is at least 1, so the value is a normal float), it is p(x)'s.
+        Only a node whose bracket rounds apart, touches 0 or nears the
+        float range takes the exact Horner, whose terms a piece builds at
+        its first such node; at other den every node does.
         """
         bps = self.breakpoints
         starts = [-(-b.numerator * den // b.denominator) for b in bps[:-1]]
         end = bps[-1].numerator * den // bps[-1].denominator
-        forms: list = [None] * len(self.pieces)
+        shift = den.bit_length() - 1 if den & (den - 1) == 0 else None
+        fixed: list = [None] * len(self.pieces)
+        exact: list = [None] * len(self.pieces)
         i, last, prev = 0, len(self.pieces) - 1, -inf
         for m in numerators:
             if m < prev:
@@ -370,14 +417,23 @@ class PiecewisePoly:
                 continue
             while i < last and m >= starts[i + 1]:
                 i += 1
-            if forms[i] is None:
-                forms[i] = self.pieces[i]._lattice_form(den)
-            terms, divisor, even = forms[i]
-            x = m * m if even else m
-            acc = 0
-            for t in terms:
-                acc = acc * x + t
-            yield acc / divisor
+            if shift is not None:
+                if fixed[i] is None:
+                    fixed[i] = self.pieces[i]._fixed_form(max(1, ceil(max(-bps[i], bps[i + 1]))))
+                terms, err, even = fixed[i]
+                y, sh = (m * m, 2 * shift) if even else (m, shift)
+                acc = 0
+                for t in terms:
+                    acc = (acc * y >> sh) + t
+                # below 2^1023 neither end of the bracket overflows a float
+                if (abs(acc) + err).bit_length() <= 1023:
+                    low = float(acc - err)
+                    if low == float(acc + err):
+                        yield ldexp(low, -_FIXED_BITS)
+                        continue
+            if exact[i] is None:
+                exact[i] = self.pieces[i]._lattice_form(den)
+            yield _exact_value(exact[i], m)
 
     def __eq__(self, other) -> bool:
         return (

@@ -66,6 +66,9 @@ class TestExactBytes:
             "056ff68ee0b9c522d2a7716345050ce2d2b83bcbbb1f63edc802977ac83e1ff6"
         assert sha256(os.path.join(out, "solution.csv")) == \
             "e2cbb5e8a09dc6f91db0035a85c3df2da6b6a42a290fcbb9fec8b65fd085509f"
+        # sup steps of the iterates sampled at the float nodes -1 + k/1000
+        assert sha256(os.path.join(out, "history.json")) == \
+            "bce12d86583e83d6dc0f49a33236967353239945d2d94d23772583afaaca342d"
 
     def test_solve_exact_max_iter_3(self, tmp_path):
         out = str(tmp_path / "o")

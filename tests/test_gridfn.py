@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 from instruments import rearrange_symmetric_decreasing
-from renyiconv.cli import _write_plot_csv
+from renyiconv.cli import PLOT_XS, _write_plot_csv
 from renyiconv.grid import (
     AsymmetricGrid,
     GridFunction,
     MismatchedSpacing,
     _smooth_length,
     convolve_grid,
+    exact_sum,
     power_real,
     read_csv,
     reflect,
@@ -299,6 +300,67 @@ class TestConvolveProduct:
             convolve_grid(a, a, GridFunction(0.0, 0.2, np.ones(5)))
 
 
+def fraction_sum(values):
+    return float(sum(map(Fraction, values.tolist()), Fraction(0)))
+
+
+class TestExactSum:
+    """exact_sum is math.fsum bit for bit: the correctly rounded sum."""
+
+    @staticmethod
+    def cases(rng):
+        tiny = sys.float_info.min
+        return {
+            "zeros": np.zeros(7),
+            "negative-zeros": np.array([-0.0, 0.0, -0.0]),
+            "subnormals": np.array([5e-324, 5e-324, tiny / 3, -tiny / 7, tiny]),
+            "near-1e308": np.array([1e308, -1.7e308, 1.7e308, -1e308, 1e308, 3.0, -5e-324]),
+            "midpoint": np.array([1.0, 2.0**-53, 2.0**-106]),
+            "below-midpoint": np.array([1.0, 2.0**-53, -(2.0**-106)]),
+            "cancelling": np.array([1e100, 1.0, -1e100, 2.0**-60]),
+            "wide": np.exp(rng.uniform(-700, 700, 3000)) * rng.choice([-1.0, 1.0], 3000),
+            "grid-like": rng.random(2001) ** 8,
+        }
+
+    def test_matches_fsum_and_fraction_sum(self, rng):
+        for name, a in self.cases(rng).items():
+            got = exact_sum(a)
+            assert got == fraction_sum(a), name
+            assert np.float64(got).view(np.int64) == np.float64(math.fsum(a.tolist())).view(np.int64), name
+
+    def test_several_blocks(self, rng):
+        a = rng.random((1 << 14) * 5 + 3) * 10.0 ** rng.integers(-300, 300, (1 << 14) * 5 + 3)
+        assert exact_sum(a) == math.fsum(a.tolist())
+
+    def test_total_beyond_the_float_range_raises(self):
+        a = np.array([1e308, 1e308])
+        with pytest.raises(OverflowError):
+            math.fsum(a.tolist())
+        with pytest.raises(OverflowError):
+            exact_sum(a)
+
+    def test_finite_total_past_an_overflowing_partial_sum(self):
+        # math.fsum gives up when a partial sum overflows; the total is finite
+        a = np.array([1e308, 1.7e308, -1.5e308])
+        with pytest.raises(OverflowError):
+            math.fsum(a.tolist())
+        assert exact_sum(a) == fraction_sum(a) == 1.2e308
+
+    def test_non_finite_input_goes_to_fsum(self):
+        assert exact_sum(np.array([np.inf, 1.0])) == math.inf
+        assert math.isnan(exact_sum(np.array([1.0, np.nan])))
+        assert exact_sum(np.array([])) == 0.0
+        g = GridFunction(0.0, 1.0, np.array([1e200, 1.0]))
+        with np.errstate(over="ignore"):
+            assert g.lp_mass(2) == math.inf  # the power overflows
+
+    def test_mass_and_lp_mass_are_fsum_bits(self, rng):
+        g = GridFunction(-1.0, 1e-3, rng.random(2001) ** 3)
+        assert g.mass == g.dx * math.fsum(g.values.tolist())
+        for p in (1.5, 2.0, 3.0):
+            assert g.lp_mass(p) == g.dx * math.fsum(np.power(g.values, p).tolist())
+
+
 class TestNormsAndPowers:
     def test_lp_norm_real_int_case(self):
         g = bump(1e-3)
@@ -351,6 +413,14 @@ class TestCsv:
         assert h.x0 == g.x0
         assert h.dx == pytest.approx(g.dx, rel=1e-12)
         assert np.array_equal(h.values, g.values)
+
+    def test_plot_abscissa_text_is_the_per_row_text(self, tmp_path, rng):
+        vals = rng.random(PLOT_XS.size)
+        _write_plot_csv(str(tmp_path / "plot.csv"), PLOT_XS, vals)
+        _write_plot_csv(str(tmp_path / "rows.csv"), PLOT_XS.copy(), vals)
+        text = (tmp_path / "plot.csv").read_text()
+        assert text == (tmp_path / "rows.csv").read_text()
+        assert text.splitlines()[1:] == [f"{x:.17g},{v:.17g}" for x, v in zip(PLOT_XS.tolist(), vals.tolist())]
 
     def test_round_trip_bit_exact(self, tmp_path, rng):
         extremes = [5e-324, 2.2250738585072014e-308, -0.0, sys.float_info.max]

@@ -459,9 +459,11 @@ class TestSampleLattice:
 
     def test_subnormal_result(self):
         f = PiecewisePoly.single(Polynomial([Fraction(1, 3 * 2**1060), Fraction(1, 2**1062)]), -1, 1)
-        vals = list(f.sample_lattice([-1, 0, 1], 5))
-        assert vals == reference(f, [-1, 0, 1], 5)
-        assert all(0 < v < sys.float_info.min for v in vals)
+        for den in (5, 4):  # 4 tries the certified fixed point first
+            ms = list(range(-den, den + 1))
+            vals = list(f.sample_lattice(ms, den))
+            assert vals == reference(f, ms, den)
+            assert all(0 < v < sys.float_info.min for v in vals)
 
     @pytest.mark.parametrize("cs", [[2**1100], [0, 2**1100], [1, 0, 2**1100]], ids=["even", "odd", "even-quadratic"])
     def test_overflow_raises_in_both_paths(self, cs):
@@ -478,6 +480,109 @@ class TestSampleLattice:
     def test_rejects_decreasing_nodes(self):
         with pytest.raises(ValueError):
             list(indicator().sample_lattice([0, 2, 1], 4))
+
+
+def bits(values):
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+class TestCertifiedSampling:
+    """At a power-of-two denominator sample_lattice certifies a fixed-point
+    Horner and runs the exact one only where the rounding is in doubt;
+    either way each value is float(f.eval(x)) bit for bit."""
+
+    @pytest.fixture
+    def exact_nodes(self, monkeypatch):
+        """The numerators m of every node that took the exact Horner."""
+        seen, exact = [], piecewise._exact_value
+
+        def counted(form, m):
+            seen.append(m)
+            return exact(form, m)
+
+        monkeypatch.setattr(piecewise, "_exact_value", counted)
+        return seen
+
+    def check(self, f, ms, den):
+        assert bits(list(f.sample_lattice(ms, den))) == bits(reference(f, ms, den))
+
+    # a rounding midpoint of the floats near 1 is r + 2^-53 for r on the
+    # float grid; the tiny linear term moves the value off it at x != 0
+    @pytest.mark.parametrize("r, tilt, want", [
+        (1, 0, 1.0),                                  # on the midpoint: to even, down
+        (1 + Fraction(1, 2**52), 0, 1 + 2.0**-51),    # on the midpoint: to even, up
+        (1, Fraction(1, 2**250), 1 + 2.0**-52),       # just above: up
+        (1, -Fraction(1, 2**250), 1.0),               # just below: down
+    ], ids=["even-down", "even-up", "above", "below"])
+    def test_rounding_midpoints(self, exact_nodes, r, tilt, want):
+        f = PiecewisePoly.single(Polynomial([r + Fraction(1, 2**53), tilt]), -1, 1)
+        ms = [1, 2, 3] if tilt else [-3, 0, 3]
+        assert list(f.sample_lattice(ms, 4)) == [want] * 3
+        # 2^-250 is below the fixed point's error, so no bracket decides
+        assert exact_nodes == ms
+        self.check(f, ms, 4)
+
+    def test_zeros_at_the_support_ends(self, exact_nodes):
+        f = PiecewisePoly.single(Polynomial([1, 0, -1]), -1, 1)
+        vals = list(f.sample_lattice(range(-8, 9), 8))
+        assert bits([vals[0], vals[-1]]) == bits([0.0, 0.0])
+        assert exact_nodes == [-8, 8]
+        self.check(f, range(-8, 9), 8)
+        f4 = exact_iterates()[4]
+        g = grid.sample(f4, 1e-3)
+        assert bits(g.values[[0, -1]]) == bits([0.0, 0.0])
+
+    @pytest.mark.parametrize("c", [
+        Fraction(sys.float_info.max),                            # the largest float
+        Fraction(sys.float_info.max) + Fraction(2**970 * 2, 5),  # rounds down to it
+        Fraction(3, 2) * 2**1022,
+    ], ids=["max", "rounds-to-max", "large"])
+    def test_near_overflow_keeps_the_float(self, c):
+        f = PiecewisePoly.single(Polynomial([c, 0, -c / 4]), -1, 1)
+        vals = list(f.sample_lattice(range(-4, 5), 4))
+        assert vals[4] == float(c)
+        self.check(f, range(-4, 5), 4)
+
+    def test_pieces_beyond_the_unit_interval(self, rng, exact_nodes):
+        # |x| up to 5: the error bound grows as X^(n-1)
+        cs = [rand_fraction(rng, 99, 97) for _ in range(12)]
+        f = PiecewisePoly([-3, Fraction(1, 3), 5], [Polynomial(cs), Polynomial(cs[::2])])
+        ms = range(-3 * 64, 5 * 64 + 1)
+        self.check(f, ms, 64)
+        assert len(exact_nodes) <= len(ms) // 100
+        # within 2^-200 of a rounding midpoint at x = 61/8: the error of
+        # eleven steps at |x| near 8 must not be bounded as if |x| <= 1
+        x, cs = Fraction(61, 8), [Fraction(1, 3 + k) for k in range(1, 12)]
+        rest = sum(c * x ** k for k, c in enumerate(cs, 1))
+        for tilt, want in ((1, 1 + 2.0**-52), (-1, 1.0)):
+            g = PiecewisePoly.single(Polynomial([1 + Fraction(1, 2**53) + tilt * Fraction(1, 2**200) - rest] + cs), 0, 8)
+            assert list(g.sample_lattice([61], 8)) == [want]
+
+    def test_large_cancelling_coefficients(self, exact_nodes):
+        # 10^40 (x - 1/3)^9: coefficients near 10^40 cancel to values as
+        # small as 2^-170 at the nodes next to 1/3
+        f = PiecewisePoly.single(Polynomial([Fraction(-1, 3), 1]).pow_int(9) * 10**40, -1, 1)
+        third = 2**40 // 3
+        ms = sorted(set(range(-2**40, 2**40 + 1, 2**30)) | set(range(third - 20, third + 21)))
+        vals = list(f.sample_lattice(ms, 2**40))
+        # near 1/3 no bracket decides, elsewhere one does
+        assert 0 < len(exact_nodes) < len(ms) // 2
+        assert vals == reference(f, ms, 2**40)
+
+    def test_most_iterate_nodes_are_certified(self, exact_nodes):
+        g = grid.sample(exact_iterates()[4], 1e-3)
+        assert len(g) == 2001
+        assert len(exact_nodes) <= len(g) // 100
+
+    @pytest.mark.parametrize("lo, dx", [(-1.0, 1e-3), (-0.3, 0.01), (0.1, 1 / 3), (-3.7, 7.3e-3),
+                                        (1e-300, 0.25), (-2.0, 0.125)])
+    def test_grid_nodes_are_lo_plus_k_dx(self, lo, dx):
+        # x^2 is strictly monotone on each side of 0, so a moved node shows
+        f = PiecewisePoly.single(Polynomial([0, 0, 1]), Fraction(lo), Fraction(lo) + 3)
+        g = grid.sample(f, dx)
+        xs = [lo + k * dx for k in range(len(g))]
+        assert bits(g.values) == bits([float(f.eval(Fraction(x))) for x in xs])
+        assert g.values[0] == lo * lo
 
 
 class TestSerialization:
