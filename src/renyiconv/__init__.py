@@ -3,12 +3,7 @@ extremal problem: maximize the p-th moment of the n-fold self-convolution
 over densities with unit mass and prescribed L^p mass.
 """
 
-from .piecewise import (
-    NegativeDensity,
-    PiecewisePoly,
-    Polynomial,
-    self_convolution,
-)
+from .piecewise import NegativeDensity, PiecewisePoly, Polynomial
 
 __version__ = "0.1.0"
 
@@ -16,6 +11,5 @@ __all__ = [
     "NegativeDensity",
     "PiecewisePoly",
     "Polynomial",
-    "self_convolution",
     "__version__",
 ]

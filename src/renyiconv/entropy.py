@@ -19,7 +19,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .grid import GridFunction
-from .piecewise import PiecewisePoly
+from .piecewise import PiecewisePoly, Polynomial
 
 Density = Union[PiecewisePoly, GridFunction]
 
@@ -47,10 +47,17 @@ class ConstraintSet:
 
     def __post_init__(self):
         _check_lp_target(self.M)
-        if not self.p > 1:
-            raise ValueError("p must exceed 1")
+        check_exponent(self.p)
         if not (isinstance(self.n, int) and self.n >= 2):
             raise ValueError("n must be an integer >= 2")
+
+
+def check_exponent(p) -> None:
+    """Raise ValueError unless 1 < p < inf (at p = inf, q = 1/(p-1) = 0)."""
+    if not p > 1:
+        raise ValueError("p must exceed 1")
+    if not p < math.inf:
+        raise ValueError(f"p must be finite, got {p}")
 
 
 def _check_lp_target(M) -> None:
@@ -84,8 +91,6 @@ def objective_I(f: Density, n: int, p) -> Union[Fraction, float]:
     rational value and a usable real number; a grid f returns a float,
     from C_n made in one product at the update kernels' transform length.
     """
-    if n < 1:
-        raise ValueError("objective_I requires n >= 1")
     return f.convolution_power(n).lp_mass(p)
 
 
@@ -223,8 +228,7 @@ def gengauss(beta: float, p: float) -> GeneralizedGaussian:
     alpha = sqrt(beta) / B(1/2, q+1), q = 1/(p-1)."""
     if not 0 < beta < math.inf:
         raise ValueError("beta must be positive and finite")
-    if not p > 1:
-        raise ValueError("p must exceed 1")
+    check_exponent(p)
     q = 1.0 / (p - 1.0)
     alpha = math.exp(0.5 * math.log(beta) - _log_beta_half(q + 1.0))
     return GeneralizedGaussian(beta=beta, p=p, alpha=alpha)
@@ -256,8 +260,6 @@ def exact_gengauss_p2(sqrt_beta: Fraction) -> tuple[Fraction, PiecewisePoly]:
     if s <= 0:
         raise ValueError("sqrt_beta must be positive")
     alpha = Fraction(3, 4) * s
-    from .piecewise import Polynomial
-
     poly = Polynomial([alpha, 0, -alpha * s * s])
     return alpha, PiecewisePoly.single(poly, -1 / s, 1 / s)
 

@@ -158,22 +158,21 @@ class GridFunction:
         """Pointwise multiple c*f, c >= 0."""
         return self.with_values(c * self.values)
 
-    def convolve(self, g: "GridFunction") -> "GridFunction":
-        """The plain pair f * g of convolve_grid, full output."""
-        return convolve_grid(self, g)
-
-    def convolution_power(self, n: int, spectra: dict | None = None) -> "GridFunction":
-        """C_n(f), the n-fold self convolution, in full: one windowed
-        product of n factors, so its transform length is the 5-smooth L of
-        the stationarity and p = 2 update kernels of f.  spectra is
-        convolve_grid's memo: for n >= 2 it then holds f's spectrum, for
-        the next product with f."""
-        if n < 1:
-            raise ValueError("convolution_power requires n >= 1")
+    def convolution_power(self, n: int, lo: float | None = None, hi: float | None = None, *,
+                          spectra: dict | None = None) -> "GridFunction":
+        """C_n(f), the n-fold self convolution, on the window [lo, hi] of
+        convolve_grid (the whole output by default): one product of n
+        factors at a 5-smooth length, for the whole output the L of the
+        stationarity and p = 2 update kernels of f.  n = 1 is f itself
+        and takes no window.  spectra is convolve_grid's memo: for n >= 2
+        it then holds f's spectrum, for the next product with f."""
+        if n < 1 or n == 1 and (lo, hi) != (None, None):
+            raise ValueError("convolution_power takes n >= 1, and a window only for n >= 2")
         if n == 1:
             return self
         # a window, even the whole output, gives a pair (n = 2) the length L
-        return convolve_grid(*[self] * n, lo=n * self.x0, spectra=spectra)
+        lo = n * self.x0 if lo is None else lo
+        return convolve_grid(*[self] * n, lo=lo, hi=hi, spectra=spectra)
 
     def dilate(self, lam: float) -> "GridFunction":
         """The function x -> f(x/lam): same samples on the lattice scaled
@@ -257,9 +256,9 @@ def convolve_grid(f: GridFunction, g: GridFunction, *more: GridFunction,
     L >= max(n_out - w0, w0 + W) and L covers the longest factor; L is
     the smallest 2^a 3^b 5^c that does.  A pair called with no window
     (neither lo nor hi) keeps the power of two covering n_out, so its
-    bits stay what they were.  Its two callers are the pair chain of
-    piecewise.self_convolution on a grid: the exact solve's residual
-    (pinned by sha256 through solution.json) and estimate_x6_grid (whose
+    bits stay what they were.  Its two callers build C_3 as a chain of
+    such pairs: solver.run_fixed_point, for the exact solve's residual
+    (pinned by sha256 through solution.json), and estimate_x6_grid (whose
     sixth difference moves by 2.2e-8 relative on the 5-smooth route).
     Roundoff can leave tiny negatives on nodes whose true value is 0;
     they are clamped relative to the window's peak, in place, through one

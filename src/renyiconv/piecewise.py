@@ -637,24 +637,16 @@ class PiecewisePoly:
         bps[0] = max(bps[0], w0)
         return PiecewisePoly([Fraction(s, scale) for s in bps], pieces)
 
-    def convolution_power(self, n: int) -> "PiecewisePoly":
-        """C_n(f), the n-fold self convolution: the pair chain, exact."""
-        return self_convolution(self, n)
-
-
-def self_convolution(f, n: int):
-    """Density of the sum of n independent copies: f convolved n-1 times.
-
-    Serves both lanes through f.convolve, a chain of plain pairs.  On a
-    grid that chain transforms at powers of two; C_n itself is
-    GridFunction.convolution_power, one product at the 5-smooth length of
-    the update kernels.  Two grid callers keep the chain because their
-    bits are pinned: the exact solve's residual (solver.run_fixed_point,
-    sha256 of solution.json) and estimate_x6_grid (whose sixth difference
-    moves by 2.2e-8 relative on the 5-smooth route, against a 1e-9 pin)."""
-    if n < 1:
-        raise ValueError("self_convolution requires n >= 1")
-    out = f
-    for _ in range(n - 1):
-        out = out.convolve(f)
-    return out
+    def convolution_power(self, n: int, lo: RationalLike | None = None,
+                          hi: RationalLike | None = None) -> "PiecewisePoly":
+        """C_n(f), the n-fold self convolution, exact, on the window
+        [lo, hi] as in convolve: a chain of pairs, the last one windowed.
+        n = 1 is f itself and takes no window."""
+        if n < 1 or n == 1 and (lo, hi) != (None, None):
+            raise ValueError("convolution_power takes n >= 1, and a window only for n >= 2")
+        if n == 1:
+            return self
+        out = self
+        for _ in range(n - 2):
+            out = out.convolve(self)
+        return out.convolve(self, lo, hi)

@@ -10,14 +10,15 @@ so a fixed point satisfies K = a f^(p-1) + b.  K is the first-variation
 kernel T(C_{n-1}(f)) * (C_n(f))^(p-1).  One kernel rule covers every
 (n, p):
 
-  - p = 2: K = C_{2n-1}(f) on f's nodes, which equals the first-variation
-    kernel for an even f.  The grid update folds K even, so every grid
-    iterate is even.  One windowed product: 2 transforms.
+  - p = 2: K = C_{2n-1}(f) on [-1, 1], f.convolution_power(2n - 1, -1, 1)
+    in both lanes, which equals the first-variation kernel for an even f.
+    The grid update folds K even, so every grid iterate is even.  On a
+    grid, one windowed product: 2 transforms.
   - otherwise: the first-variation kernel itself (stationarity_kernel):
     4 transforms, C_n and one more product sharing f's one spectrum.
 
 Exact mode runs over rational piecewise polynomials at (n, p) = (2, 2),
-where K is the triple self convolution; grid mode runs every (n, p).
+where K is C_3; grid mode runs every (n, p).
 Beyond (2, 2) the update is a plausible extension, not an established
 scheme, but no step lowers the dilation-invariant ratio
 I / (mass^((n-1)p) ||f||_p^p) beyond roundoff (tests/test_solver.py).
@@ -26,9 +27,9 @@ iterate_once is the single update step and iterations the single loop;
 run_fixed_point and the CLI both consume the loop, and run_fixed_point
 returns every outcome (a spent grid budget is converged False).  Both
 lanes run the same code: an exact and a sampled density answer the same
-questions (support, value at a point, convolution), and the only lane
-choices left are the kernel and the exact lane asserting nonnegativity
-where the grid takes the positive part.  No command checks a (2, 2)
+questions (support, value at a point, C_n on a window), and the only
+lane choices left are the exact lane's (2, 2) guard and its asserting
+nonnegativity where the grid takes the positive part.  No command checks a (2, 2)
 fixed point against the stationarity coefficients; tests/instruments.py
 does.
 """
@@ -41,10 +42,10 @@ from typing import Callable, Iterator, NamedTuple, Optional, Union
 import numpy as np
 
 from . import grid as _grid
-from .entropy import Density
+from .entropy import Density, check_exponent
 from .euler_lagrange import stationarity_kernel
 from .grid import GridFunction
-from .piecewise import PiecewisePoly, self_convolution
+from .piecewise import PiecewisePoly
 
 _SUPPORT_SLACK = 1e-9
 
@@ -67,8 +68,7 @@ class SolverConfig:
             raise ValueError("mode must be 'exact' or 'grid'")
         if not (isinstance(self.n, int) and self.n >= 2):
             raise ValueError("n must be an integer >= 2")
-        if not self.p > 1:
-            raise ValueError("p must exceed 1")
+        check_exponent(self.p)
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if not self.dx > 0:
@@ -118,25 +118,22 @@ def initial_iterate(config: SolverConfig) -> Density:
     if config.mode == "exact":
         return f0
     steps = round(1.0 / config.dx)
-    if abs(steps * config.dx - 1.0) > 1e-9:
+    if not abs(steps * config.dx - 1.0) <= 1e-9:  # NaN (dx = inf) fails too
         raise ValueError("dx must divide 1 so that 0 and +-1 are grid nodes")
     return _grid.symmetric_grid(np.ones(2 * steps + 1), config.dx)
 
 
 def _kernel_of(f: Density, n: int, p: float) -> Density:
-    """The update kernel.  At p = 2 it is C_{2n-1}(f): one windowed
-    product, 2 transforms (one rfft, one irfft).  It equals the
-    first-variation kernel T(C_{n-1}(f)) * C_n(f) for an even f, and the
-    update makes every grid iterate even.  Otherwise it is the
-    first-variation kernel, stationarity_kernel: 4 transforms (two
-    rffts, two irffts).  A kernel covers only what the update and the
-    final fit read: a grid kernel f's own nodes, an exact one [-1, 1]."""
-    if isinstance(f, PiecewisePoly):
-        if (n, p) != (2, 2):
-            raise ValueError("exact iteration supports only n = 2, p = 2")
-        return f.convolve(f).convolve(f, -1, 1)
+    """The update kernel on [-1, 1], all that the update and its final fit
+    read.  At p = 2, in both lanes, it is C_{2n-1}(f) there (on a grid one
+    product, 2 transforms), which is the first-variation kernel
+    T(C_{n-1}(f)) * C_n(f) of the even iterates the update makes.
+    Otherwise it is the first-variation kernel, stationarity_kernel:
+    4 transforms."""
+    if isinstance(f, PiecewisePoly) and (n, p) != (2, 2):
+        raise ValueError("exact iteration supports only n = 2, p = 2")
     if p == 2:
-        return _grid.convolve_grid(*[f] * (2 * n - 1), lo=f.x0, hi=f.x_end)
+        return f.convolution_power(2 * n - 1, -1, 1)
     return stationarity_kernel(f, n, p)
 
 
@@ -230,10 +227,12 @@ def run_fixed_point(config: SolverConfig) -> FixedPointSolution:
             break
 
     # affine fit at the final iterate; the exact lane's residual is
-    # measured on the grid, against the triple convolution of the samples
+    # measured on the grid, against C_3 of the samples as a chain of
+    # power-of-two pairs, whose bits solution.json's sha256 pins
     K = _kernel_of(f, config.n, config.p)
     a, b = K(0) - K(1), K(1)
-    el_sup = _affine_residual_sup(fs, self_convolution(fs, 3) if exact else K, float(a), float(b), config.p)
+    Ks = _grid.convolve_grid(_grid.convolve_grid(fs, fs), fs) if exact else K
+    el_sup = _affine_residual_sup(fs, Ks, float(a), float(b), config.p)
     return FixedPointSolution(
         f=f,
         a=a,

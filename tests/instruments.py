@@ -27,7 +27,7 @@ import numpy as np
 from renyiconv import grid
 from renyiconv.entropy import ConstraintSet, GeneralizedGaussian, objective_I, scale_to_feasible
 from renyiconv.grid import AsymmetricGrid, GridFunction
-from renyiconv.piecewise import PiecewisePoly, RationalLike, as_fraction, self_convolution
+from renyiconv.piecewise import PiecewisePoly, RationalLike, as_fraction
 from renyiconv.solver import FixedPointSolution
 
 
@@ -152,7 +152,7 @@ def consistency_with_el(sol: FixedPointSolution, constraints: ConstraintSet) -> 
         raise ValueError("consistency check applies to n = 2, p = 2")
     q, _, _ = scale_to_feasible(sol.f, constraints)
     lam_val = float(objective_I(q, 2, 2))
-    K = self_convolution(q, 3)
+    K = pair_chain(q, 3)
     edge = q.support[1]
     k0, ke, q0 = float(K(0)), float(K(edge)), float(q(0))
     a_fit = (k0 - ke) / q0
@@ -169,6 +169,16 @@ def consistency_with_el(sol: FixedPointSolution, constraints: ConstraintSet) -> 
         dev_a=abs(a_fit - a_exp) / abs(a_fit),
         dev_b=abs(b_fit - b_exp) / abs(b_fit),
     )
+
+
+def pair_chain(g: GridFunction, n: int) -> GridFunction:
+    """C_n(g) as the chain of plain pairs convolve_grid(c, g), each at its
+    power-of-two length: the route whose bits the exact solve's residual
+    and estimate_x6_grid keep.  C_n itself is g.convolution_power(n)."""
+    out = g
+    for _ in range(n - 1):
+        out = grid.convolve_grid(out, g)
+    return out
 
 
 def reflect(f: PiecewisePoly) -> PiecewisePoly:

@@ -110,6 +110,22 @@ def test_invalid_flag_values_exit_2(tmp_path, argv):
     assert "RuntimeWarning" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gengauss", "--p", "inf"], "p must be finite, got inf"),
+    (["solve", "--p", "inf"], "p must be finite, got inf"),
+    (["compare", "--p", "inf"], "p must be finite, got inf"),
+    (["solve", "--dx", "inf"], "dx must divide 1 so that 0 and +-1 are grid nodes"),
+    (["compare", "--dx", "inf"], "dx must divide 1 so that 0 and +-1 are grid nodes"),
+    (["iterate", "--mode", "grid", "--dx", "inf"], "dx must divide 1 so that 0 and +-1 are grid nodes"),
+], ids=" ".join)
+def test_infinite_p_or_dx_exits_2_naming_it(tmp_path, capsys, argv, message):
+    # gengauss --p inf once wrote NaN for lp_mass and renyi_entropy and exited 0
+    out = tmp_path / "o"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir(out) == []
+
+
 def test_el_residual_beyond_float_range_exits_2(tmp_path):
     # a solution the CLI wrote (lam overflows), and a density of mass 0.3,
     # for which M * mass^p underflows to 0

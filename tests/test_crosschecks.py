@@ -18,7 +18,7 @@ pytestmark = pytest.mark.filterwarnings(
 
 from instruments import gengauss_value
 from renyiconv.entropy import gengauss
-from renyiconv.piecewise import PiecewisePoly, Polynomial, self_convolution
+from renyiconv.piecewise import PiecewisePoly, Polynomial
 
 
 def bump(x: float) -> float:
@@ -28,7 +28,7 @@ def bump(x: float) -> float:
 @pytest.fixture(scope="module")
 def kernel():
     f = PiecewisePoly.single(Polynomial([1, 0, -1]), -1, 1)
-    return self_convolution(f, 3)
+    return f.convolution_power(3)
 
 
 class TestKernelAgainstDblquad:

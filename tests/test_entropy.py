@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from instruments import pair_chain
 from renyiconv import entropy
 from renyiconv.entropy import (
     ConstraintSet,
@@ -20,7 +21,7 @@ from renyiconv.entropy import (
     scale_to_feasible,
 )
 from renyiconv.grid import GridFunction, sample
-from renyiconv.piecewise import PiecewisePoly, Polynomial, self_convolution
+from renyiconv.piecewise import PiecewisePoly, Polynomial
 
 
 def rand_step_density(rng, exact=False):
@@ -59,6 +60,12 @@ class TestConstraintSet:
         with pytest.raises(ValueError):
             ConstraintSet(M=0.5, p=2.0, n=1)
 
+    def test_non_finite_p_is_named(self):
+        with pytest.raises(ValueError, match="^p must be finite, got inf$"):
+            ConstraintSet(M=0.5, p=math.inf, n=2)
+        with pytest.raises(ValueError, match="^p must exceed 1$"):
+            ConstraintSet(M=0.5, p=math.nan, n=2)
+
 
 class TestEntropyFunctionals:
     def test_uniform_half_width_has_zero_entropy(self):
@@ -88,7 +95,7 @@ class TestEntropyFunctionals:
         # one windowed product at the 5-smooth length against the chain of
         # power-of-two pairs that the pinned callers keep
         g = sample(PiecewisePoly.single(Polynomial([1, 0, -1]), -1, 1), 1e-2)
-        chain = self_convolution(g, n).lp_mass(p)
+        chain = pair_chain(g, n).lp_mass(p)
         assert float(objective_I(g, n, p)) == pytest.approx(chain, rel=1e-13, abs=0)
 
     def test_piecewise_needs_integer_exponent(self):
@@ -170,6 +177,15 @@ class TestGeneralizedGaussian:
         assert alpha == Fraction(3, 4)
         assert poly.mass == 1
         assert poly.lp_mass(2) == Fraction(3, 5)
+
+    def test_non_finite_p_is_named(self):
+        # at p = inf, q = 1/(p-1) = 0 and lp_mass would be lgamma(inf * 0)
+        with pytest.raises(ValueError, match="^p must be finite, got inf$"):
+            gengauss(1.0, math.inf)
+        with pytest.raises(ValueError, match="^p must be finite, got inf$"):
+            gengauss_for_lp_mass(0.5, math.inf)
+        with pytest.raises(ValueError, match="^p must exceed 1$"):
+            gengauss(1.0, math.nan)
 
     def test_unit_mass_various_p(self):
         for p in (1.5, 2.0, 3.0, 4.5):

@@ -24,7 +24,7 @@ from renyiconv.euler_lagrange import (
     stationarity_kernel,
 )
 from renyiconv.grid import GridFunction, _smooth_length
-from renyiconv.piecewise import PiecewisePoly, Polynomial, self_convolution
+from renyiconv.piecewise import PiecewisePoly, Polynomial
 from renyiconv.solver import SolverConfig, run_fixed_point
 
 
@@ -176,7 +176,7 @@ class TestCounterexample:
 
     def test_sup_affine_residual_is_max_over_exact_samples(self, report):
         g = PiecewisePoly.single(Polynomial([Fraction(3, 4), 0, Fraction(-3, 4)]), -1, 1)
-        K = self_convolution(g, 3)
+        K = g.convolution_power(3)
         a, b = report.affine_fit_a, report.affine_fit_b
         exact = max(abs(K.eval(Fraction(i, 1000)) - a * g.eval(Fraction(i, 1000)) - b)
                     for i in range(-1000, 1001))

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from instruments import rearrange_symmetric_decreasing
+from instruments import pair_chain, rearrange_symmetric_decreasing
 from renyiconv.cli import PLOT_XS, _write_plot_csv
 from renyiconv.grid import (
     AsymmetricGrid,
@@ -23,7 +23,7 @@ from renyiconv.grid import (
     sample,
     symmetric_grid,
 )
-from renyiconv.piecewise import PiecewisePoly, Polynomial, self_convolution
+from renyiconv.piecewise import PiecewisePoly, Polynomial
 
 
 def bump(dx=1e-2):
@@ -93,7 +93,8 @@ class TestSharedInterface:
         assert g(0) == f(0) == 1
         assert g(0.5) == float(f(Fraction(1, 2)))
         for fh, gh in ((f, g), (f * Fraction(3), g * 3.0), (f.dilate(2), g.dilate(2.0)),
-                       (f.convolve(f), g.convolve(g)), (f.convolution_power(3), g.convolution_power(3))):
+                       (f.convolution_power(2), g.convolution_power(2)),
+                       (f.convolution_power(3), g.convolution_power(3))):
             assert gh.mass == pytest.approx(float(fh.mass), rel=1e-5)
             assert gh.lp_mass(2) == pytest.approx(float(fh.lp_mass(2)), rel=1e-5)
 
@@ -105,9 +106,32 @@ class TestSharedInterface:
         assert g != g * 2.0 and g != g.dilate(2.0)
         assert g != f and g != sample(f, 0.125)
 
-    def test_convolve_is_the_plain_pair(self, rng):
-        f, g = GridFunction(-0.5, 0.01, rng.uniform(0, 1, 700)), GridFunction(0.2, 0.01, rng.uniform(0, 1, 300))
-        assert np.array_equal(f.convolve(g).values, convolve_grid(f, g).values)
+
+class TestConvolutionPower:
+    """g.convolution_power(n, lo, hi) is the one windowed product of n
+    copies of g."""
+
+    def test_is_the_windowed_product(self, rng):
+        g = GridFunction(-0.3, 0.01, rng.uniform(0, 1, 97))
+        for n in (2, 3, 4):
+            x0, last = n * g.x0, n * g.x0 + n * 96 * g.dx
+            for lo, hi in ((x0 + 5 * g.dx, x0 + 40 * g.dx), (0.0, 0.5), (None, x0 + 7 * g.dx), (0.2, None)):
+                want = convolve_grid(*[g] * n, lo=lo, hi=hi)
+                got = g.convolution_power(n, lo, hi)
+                assert got.x0 == want.x0 and np.array_equal(got.values, want.values), (n, lo, hi)
+            # the default is the whole output, at the length of a window
+            full = g.convolution_power(n)
+            assert len(full) == n * 96 + 1 and full.x0 == pytest.approx(x0) and full.x_end == pytest.approx(last)
+            assert np.array_equal(full.values, convolve_grid(*[g] * n, hi=last).values)
+
+    def test_c1_is_g_and_takes_no_window(self):
+        g = bump()
+        assert g.convolution_power(1) is g
+        for lo, hi in ((-1.0, 1.0), (None, 1.0), (-1.0, None)):
+            with pytest.raises(ValueError, match="window only for n >= 2"):
+                g.convolution_power(1, lo, hi)
+        with pytest.raises(ValueError):
+            g.convolution_power(0)
 
 
 class TestConvolveGrid:
@@ -132,11 +156,10 @@ class TestConvolveGrid:
         assert c.x_end == pytest.approx(4.0)
 
     def test_matches_exact_convolution(self):
-        from renyiconv.piecewise import self_convolution as sc
         f = PiecewisePoly.single(Polynomial([1, 0, -1]), -1, 1)
-        K = sc(f, 3)
+        K = f.convolution_power(3)
         dx = 1e-3
-        Kg = self_convolution(sample(f, dx), 3)
+        Kg = pair_chain(sample(f, dx), 3)
         xs = [-2.5, -1.0, -0.25, 0.0, 0.5, 1.75]
         for x in xs:
             i = Kg.node_index(x)

@@ -15,7 +15,6 @@ from renyiconv.piecewise import (
     PiecewisePoly,
     Polynomial,
     format_rational,
-    self_convolution,
 )
 from renyiconv.solver import _kernel_of, iterate_once
 
@@ -182,7 +181,7 @@ class TestConvolution:
         assert t.eval(Fraction(-1, 3)) == 2 - Fraction(1, 3)
 
     def test_indicator_cubed_middle_piece(self):
-        c = self_convolution(indicator(), 3)
+        c = indicator().convolution_power(3)
         assert c.support == (-3, 3)
         # middle piece is 3 - x^2
         assert c.eval(0) == 3
@@ -223,7 +222,7 @@ class TestConvolution:
         # triple self convolution of 1 - x^2 on [-1, 1]; center values are
         # pinned against independent dblquad integration in test_crosschecks.py
         f = PiecewisePoly.single(Polynomial([1, 0, -1]), -1, 1)
-        K = self_convolution(f, 3)
+        K = f.convolution_power(3)
         mid = None
         for lo, hi, piece in K.intervals():
             if lo <= 0 < hi:
@@ -333,7 +332,39 @@ class TestWindowedConvolution:
             # 3 + 2 jump shifts, cuts -3 and -1
             assert shifts[0] == 11
             assert K.breakpoints == (-1, 1) and len(K.pieces) == 1
-            assert K == restrict(self_convolution(f, 3), -1, 1)
+            assert K == restrict(f.convolution_power(3), -1, 1)
+
+
+class TestConvolutionPower:
+    """f.convolution_power(n, lo, hi) is C_n(f) restricted to [lo, hi]."""
+
+    def test_window_matches_restricted_power(self, rng):
+        far = Fraction(1000)
+        for f in (indicator(), rand_piecewise(rng, 2), rand_piecewise(rng, 2)):
+            for n in (2, 3, 4):
+                full = f.convolution_power(n)
+                s0, s1 = n * f.support[0], n * f.support[1]
+                for lo, hi in window_cases(rng, s0, s1, list(full.breakpoints)):
+                    want = restrict(full, -far if lo is None else lo, far if hi is None else hi)
+                    assert f.convolution_power(n, lo, hi) == want, (f, n, lo, hi)
+
+    def test_window_outside_the_support_is_zero(self):
+        for n in (2, 3, 4):
+            assert indicator().convolution_power(n, n, n + 1) == PiecewisePoly.zero()
+            assert indicator().convolution_power(n, -n - 2, -n) == PiecewisePoly.zero()
+
+    def test_c1_is_f_and_takes_no_window(self):
+        f = PiecewisePoly.single(Polynomial([1, 0, -1]), -1, 1)
+        assert f.convolution_power(1) is f
+        for lo, hi in ((-1, 1), (None, 1), (-1, None)):
+            with pytest.raises(ValueError, match="window only for n >= 2"):
+                f.convolution_power(1, lo, hi)
+        with pytest.raises(ValueError):
+            f.convolution_power(0)
+
+    def test_kernel_is_the_windowed_triple(self):
+        for f in exact_iterates():
+            assert _kernel_of(f, 2, 2.0) == f.convolve(f).convolve(f, -1, 1)
 
 
 def evenness_oracle(f):

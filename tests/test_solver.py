@@ -7,11 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from instruments import consistency_with_el, reflect, restrict
+from instruments import consistency_with_el, pair_chain, reflect, restrict
 from renyiconv.entropy import ConstraintSet, objective_I
 from renyiconv.euler_lagrange import stationarity_kernel
 from renyiconv.grid import GridFunction, _smooth_length, sample
-from renyiconv.piecewise import PiecewisePoly, Polynomial, format_rational, self_convolution
+from renyiconv.piecewise import PiecewisePoly, Polynomial, format_rational
 from renyiconv.solver import (
     FixedPointSolution,
     SolverConfig,
@@ -41,7 +41,7 @@ DEG10 = PiecewisePoly.single(
 def renormalized_update(f: PiecewisePoly) -> PiecewisePoly:
     """(K - K(1)) / (K(0) - K(1)) on [-1, 1] with K the triple self
     convolution; same formula iterate_once implements."""
-    K = self_convolution(f, 3)
+    K = f.convolution_power(3)
     k0, k1 = K.eval(0), K.eval(1)
     shifted = restrict(K, -1, 1) - PiecewisePoly.indicator(-1, 1, k1)
     return shifted * (1 / (k0 - k1))
@@ -58,6 +58,16 @@ class TestConfig:
             SolverConfig(mode="exact", p=3.0)
         # the general update is chosen by (n, p) alone
         SolverConfig(mode="grid", n=3, p=2.0)
+
+    def test_non_finite_p_is_named(self):
+        for mode in ("grid", "exact"):
+            with pytest.raises(ValueError, match="^p must be finite, got inf$"):
+                SolverConfig(mode=mode, p=math.inf)
+
+    def test_dx_inf_does_not_divide_one(self):
+        # round(1 / inf) = 0 steps, and 0 * inf is NaN, which must fail the check
+        with pytest.raises(ValueError, match="^dx must divide 1 so that 0 and"):
+            initial_iterate(SolverConfig(mode="grid", dx=math.inf))
 
     def test_resolved_max_iter(self):
         assert SolverConfig(mode="exact").resolved_max_iter() == 4
@@ -204,7 +214,7 @@ class TestGridIteration:
         for f in (f0, iterate_once(f0).f):
             assert np.array_equal(f.values, f.values[::-1])
             general = stationarity_kernel(f, 2, 2.0)
-            special = self_convolution(f, 3)
+            special = pair_chain(f, 3)
             i = special.node_index(-1.0)
             assert len(general) == len(f)
             assert general.x0 == pytest.approx(special.nodes[i], abs=1e-12)

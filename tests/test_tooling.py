@@ -10,10 +10,16 @@ Exact values become floats in one place, PiecewisePoly.sample_lattice,
 which divides integers once per node instead of building a Fraction per
 node; float(f.eval(x)) elsewhere in the package would be a second route.
 
-PiecewisePoly and GridFunction answer the same questions (mass, lp_mass,
-convolve, dilate, scaling, values, support), so code outside the two
-density modules and the solver's kernel choice has no reason to ask
-which one it holds.
+A plain pair convolve_grid(f, g) with no window transforms at a power
+of two, not at the 5-smooth length of every other product.  It survives
+only where its bits are pinned: the exact solve's residual
+(solver.run_fixed_point) and euler_lagrange.estimate_x6_grid; C_n
+elsewhere is convolution_power.
+
+PiecewisePoly and GridFunction answer the same questions (mass,
+lp_mass, convolution_power, dilate, scaling, values, support), so code
+outside the two density modules and the solver's exact-lane guard has
+no reason to ask which one it holds.
 
 Library reports and densities return plain values; cli.py alone spells
 numbers for output, so a 17-digit format spec or a to_json method
@@ -36,6 +42,7 @@ import renyiconv
 
 SRC = pathlib.Path(renyiconv.__file__).parent
 FFT_OWNER = ("grid.py", "convolve_grid")
+PAIR_ROUTE_OWNERS = {("solver.py", "run_fixed_point"), ("euler_lagrange.py", "estimate_x6_grid")}
 DENSITY_TYPES = {"PiecewisePoly", "GridFunction"}
 DENSITY_TYPE_OWNERS = {"piecewise.py", "grid.py", "solver.py"}
 FLOAT_EVAL_OWNER = "piecewise.py"
@@ -138,6 +145,51 @@ def test_length_finder_sees_every_spelling():
     )
     assert transform_lengths(src) == [(2, "m"), (3, "2 * m"), (4, "")]
     assert calls_of("_smooth_length", src) == [(4, "f"), (5, "")]
+
+
+def plain_pair_calls(source: str) -> list[tuple[int, str]]:
+    """(line, enclosing top-level function or '') of every convolve_grid
+    call, by name or attribute, with no lo or hi keyword and either
+    exactly two positional factors or a starred one, which may expand to
+    two: the power-of-two pair."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else ""
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            windowed = any(k.arg in ("lo", "hi") for k in node.keywords)
+            may_be_pair = len(node.args) == 2 or any(isinstance(a, ast.Starred) for a in node.args)
+            if name == "convolve_grid" and may_be_pair and not windowed:
+                found.append((node.lineno, owner))
+    return sorted(found)
+
+
+def test_power_of_two_pair_only_where_pinned():
+    owners = {(path.name, owner) for path in sorted(SRC.glob("*.py"))
+              for _, owner in plain_pair_calls(path.read_text())}
+    assert owners == PAIR_ROUTE_OWNERS, "plain convolve_grid pairs outside the pinned callers"
+
+
+def test_pair_finder_sees_every_spelling():
+    src = (
+        "def f(a, b, fs, s):\n"
+        "    c = convolve_grid(a, b)\n"
+        "    d = _grid.convolve_grid(_grid.convolve_grid(a, a), b)\n"
+        "    e = grid.convolve_grid(*fs)\n"
+        "    g = convolve_grid(a, b, spectra=s)\n"
+        "    convolve_grid(a, b, lo=0.0)\n"
+        "    convolve_grid(a, b, hi=1.0)\n"
+        "    convolve_grid(*[a] * 3, lo=-1.0, hi=1.0)\n"
+        "    convolve_grid(a, b, c)\n"
+        "    return a.convolve(b)\n"
+        "class C:\n"
+        "    def h(self, a):\n"
+        "        return convolve_grid(a, self)\n"
+        "convolve_grid(x, y)\n"
+    )
+    assert plain_pair_calls(src) == [(2, "f"), (3, "f"), (3, "f"), (4, "f"), (5, "f"), (13, "C"), (14, "")]
 
 
 def density_type_checks(source: str) -> list[int]:
