@@ -204,8 +204,8 @@ class GeneralizedGaussian:
         return (-half, half)
 
     def to_grid(self, dx: float) -> GridFunction:
-        if not dx > 0:
-            raise ValueError("dx must be positive")
+        if not 0 < dx < math.inf:
+            raise ValueError(f"dx must be positive and finite, got {dx}")
         half = self.beta ** -0.5
         n = max(2, math.ceil(min(half / dx - 1e-9, MAX_GRID_NODES)))  # min: ceil of inf raises
         if 2 * n + 1 > MAX_GRID_NODES:

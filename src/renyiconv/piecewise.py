@@ -229,15 +229,19 @@ class Polynomial:
 _ZERO_POLY = Polynomial()
 
 
+def _horner(terms: list[int], x: int) -> int:
+    """The integer polynomial with terms (highest degree first) at x."""
+    acc = 0
+    for t in terms:
+        acc = acc * x + t
+    return acc
+
+
 def _exact_value(form: tuple[list[int], int, bool], m: int) -> float:
     """The float of a piece at m / den, from its _lattice_form(den): the
     exact Horner sum over the divisor, one correctly rounded division."""
     terms, divisor, even = form
-    x = m * m if even else m
-    acc = 0
-    for t in terms:
-        acc = acc * x + t
-    return acc / divisor
+    return _horner(terms, m * m if even else m) / divisor
 
 
 def _taylor_shift(cs: list[int], s: int) -> list[int]:
@@ -270,6 +274,22 @@ def _jumps(f: "PiecewisePoly", scale: int) -> tuple[dict[int, list[int]], int]:
         jumps[beta] = [factorial(k) * u for k, u in enumerate(shifted)]
         prev = cur
     return jumps, den * scale ** d
+
+
+def _jump_product(jf: dict, jg: dict, top: int, w1: float) -> dict[int, list[int]]:
+    """Convolution of jump forms: order m <= top at s = a + b < w1 sums
+    J_{a,j} J_{b,k} over j + k + 1 = m.  jg's cuts must increase."""
+    acc: dict[int, list[int]] = {}
+    for a, uf in jf.items():
+        for b, ug in jg.items():  # b increases: the rest start at or beyond w1
+            if a + b >= w1:
+                break
+            out = acc.setdefault(a + b, [0] * (top + 1))
+            for j, u in enumerate(uf):
+                if u:
+                    for m, v in enumerate(ug, j + 1):
+                        out[m] += u * v
+    return acc
 
 
 class PiecewisePoly:
@@ -611,16 +631,7 @@ class PiecewisePoly:
         jf, den_f = _jumps(self, scale)
         jg, den_g = (jf, den_f) if other is self else _jumps(other, scale)
         top = max(p.degree for p in self.pieces) + max(p.degree for p in other.pieces) + 1
-        acc: dict[int, list[int]] = {}
-        for a, uf in jf.items():
-            for b, ug in jg.items():  # b increases: the rest start at or beyond hi
-                if a + b >= w1:
-                    break
-                out = acc.setdefault(a + b, [0] * (top + 1))
-                for j, u in enumerate(uf):
-                    if u:
-                        for m, v in enumerate(ug, j + 1):
-                            out[m] += u * v
+        acc = _jump_product(jf, jg, top, w1)
         # jumps are in y = scale * x, and dy = scale dx
         den = den_f * den_g * factorial(top) * scale
         cuts = sorted(acc)
@@ -650,3 +661,23 @@ class PiecewisePoly:
         for _ in range(n - 2):
             out = out.convolve(self)
         return out.convolve(self, lo, hi)
+
+    def convolution_power_at(self, n: int, xs: Iterable[RationalLike]) -> list[Fraction]:
+        """f.convolution_power(n).eval(x) at each rational x, with no piece
+        built: f's jump form in y = scale * x is multiplied n - 1 times as in
+        convolve, skipping cuts that reach max(xs) even with the leftmost cut
+        of each factor to come.  C_n (n >= 2) is continuous, so its value at
+        y is sum_{s < y} sum_m J_{s,m} (y - s)^m / m!, over one denominator."""
+        xs = [as_fraction(x) for x in xs]
+        if n < 2 or not xs or self.is_zero():
+            return [self.convolution_power(n).eval(x) for x in xs]
+        scale = lcm(*(q.denominator for q in self.breakpoints + tuple(xs)))
+        ys = [x.numerator * (scale // x.denominator) for x in xs]
+        jf, den = _jumps(self, scale)
+        acc, first, d = jf, min(jf), len(jf[min(jf)])  # f's leftmost cut, orders 0..d-1
+        for k in range(2, n + 1):  # acc becomes C_k's jumps, orders up to k d - 1; dy = scale dx
+            acc = _jump_product(acc, jf, k * d - 1, max(ys) - (n - k) * first)
+        top = n * d - 1
+        terms = {s: [u * (factorial(top) // factorial(m)) for m, u in enumerate(js)][::-1] for s, js in acc.items()}
+        den = factorial(top) * den ** n * scale ** (n - 1)
+        return [Fraction(sum(_horner(t, y - s) for s, t in terms.items() if s < y), den) for y in ys]

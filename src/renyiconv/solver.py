@@ -17,8 +17,8 @@ kernel T(C_{n-1}(f)) * (C_n(f))^(p-1).  One kernel rule covers every
   - otherwise: the first-variation kernel itself (stationarity_kernel):
     4 transforms, C_n and one more product sharing f's one spectrum.
 
-Exact mode runs over rational piecewise polynomials at (n, p) = (2, 2),
-where K is C_3; grid mode runs every (n, p).
+Exact mode runs at (n, p) = (2, 2), where K is C_3, and its final fit
+reads K(0), K(1) as point values of C_3; grid mode runs every (n, p).
 Beyond (2, 2) the update is a plausible extension, not an established
 scheme, but no step lowers the dilation-invariant ratio
 I / (mass^((n-1)p) ||f||_p^p) beyond roundoff (tests/test_solver.py).
@@ -124,7 +124,7 @@ def initial_iterate(config: SolverConfig) -> Density:
 
 
 def _kernel_of(f: Density, n: int, p: float) -> Density:
-    """The update kernel on [-1, 1], all that the update and its final fit
+    """The update kernel on [-1, 1], all that the update and the grid fit
     read.  At p = 2, in both lanes, it is C_{2n-1}(f) there (on a grid one
     product, 2 transforms), which is the first-variation kernel
     T(C_{n-1}(f)) * C_n(f) of the even iterates the update makes.
@@ -207,7 +207,7 @@ def run_fixed_point(config: SolverConfig) -> FixedPointSolution:
     sup-norm step drops below config.tol; if max_iter runs out first, the
     solution says converged False, and its final_step_sup tells how far
     from the tolerance it stopped.  max_iter = 0 skips iterating and
-    reports the affine fit at f_0 itself.
+    reports the affine fit at f_0 itself, from K(0) and K(1) alone.
     """
     exact = config.mode == "exact"
 
@@ -226,13 +226,12 @@ def run_fixed_point(config: SolverConfig) -> FixedPointSolution:
             converged = True
             break
 
-    # affine fit at the final iterate; the exact lane's residual is
-    # measured on the grid, against C_3 of the samples as a chain of
-    # power-of-two pairs, whose bits solution.json's sha256 pins
-    K = _kernel_of(f, config.n, config.p)
-    a, b = K(0) - K(1), K(1)
-    Ks = _grid.convolve_grid(_grid.convolve_grid(fs, fs), fs) if exact else K
-    el_sup = _affine_residual_sup(fs, Ks, float(a), float(b), config.p)
+    # affine fit at the final iterate; the exact lane's residual is against
+    # C_3 of the samples as power-of-two pairs, whose bits solution.json pins
+    K = _grid.convolve_grid(_grid.convolve_grid(fs, fs), fs) if exact else _kernel_of(f, config.n, config.p)
+    k0, k1 = f.convolution_power_at(2 * config.n - 1, (0, 1)) if exact else (K(0), K(1))
+    a, b = k0 - k1, k1
+    el_sup = _affine_residual_sup(fs, K, float(a), float(b), config.p)
     return FixedPointSolution(
         f=f,
         a=a,

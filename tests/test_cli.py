@@ -126,6 +126,17 @@ def test_infinite_p_or_dx_exits_2_naming_it(tmp_path, capsys, argv, message):
     assert os.listdir(out) == []
 
 
+def test_gengauss_infinite_dx_exits_2_without_a_warning(tmp_path):
+    # dx = inf once reached numpy as inf * 0: a RuntimeWarning, then
+    # "values must be finite", which does not name dx
+    out = tmp_path / "o"
+    proc = run_process(["gengauss", "--dx", "inf", "--out", str(out)])
+    assert proc.returncode == 2
+    assert proc.stderr == "error: dx must be positive and finite, got inf\n"
+    assert "Warning" not in proc.stderr
+    assert not os.path.exists(out / "gengauss.json")
+
+
 def test_el_residual_beyond_float_range_exits_2(tmp_path):
     # a solution the CLI wrote (lam overflows), and a density of mass 0.3,
     # for which M * mass^p underflows to 0

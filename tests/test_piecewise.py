@@ -16,7 +16,7 @@ from renyiconv.piecewise import (
     Polynomial,
     format_rational,
 )
-from renyiconv.solver import _kernel_of, iterate_once
+from renyiconv.solver import SolverConfig, _kernel_of, iterate_once, run_fixed_point
 
 HALF = Fraction(1, 2)
 
@@ -49,6 +49,19 @@ def exact_iterates():
     for _ in range(4):
         fs.append(iterate_once(fs[-1]).f)
     return tuple(fs)
+
+
+@pytest.fixture
+def shifts(monkeypatch):
+    """The number of Taylor shifts made during the test, in a list."""
+    count, shift = [0], piecewise._taylor_shift
+
+    def counted(cs, s):
+        count[0] += 1
+        return shift(cs, s)
+
+    monkeypatch.setattr(piecewise, "_taylor_shift", counted)
+    return count
 
 
 def fraction_horner(p, x):
@@ -304,18 +317,6 @@ class TestWindowedConvolution:
         for lo, hi in ((-5, -3), (-3, -2), (2, 3), (Fraction(7, 3), 5)):
             assert indicator().convolve(indicator(), lo, hi) == PiecewisePoly.zero()
 
-    @pytest.fixture
-    def shifts(self, monkeypatch):
-        """The number of Taylor shifts made during the test, in a list."""
-        count, shift = [0], piecewise._taylor_shift
-
-        def counted(cs, s):
-            count[0] += 1
-            return shift(cs, s)
-
-        monkeypatch.setattr(piecewise, "_taylor_shift", counted)
-        return count
-
     def test_one_shift_per_breakpoint_and_cut_below_hi(self, shifts):
         tent = indicator().convolve(indicator())
         for f in exact_iterates() + (tent,):
@@ -365,6 +366,52 @@ class TestConvolutionPower:
     def test_kernel_is_the_windowed_triple(self):
         for f in exact_iterates():
             assert _kernel_of(f, 2, 2.0) == f.convolve(f).convolve(f, -1, 1)
+
+
+class TestConvolutionPowerAt:
+    """f.convolution_power_at(n, xs) is [f.convolution_power(n).eval(x)
+    for x in xs], from the jump form alone."""
+
+    def test_matches_the_power_at_cuts_ends_and_off_lattice(self, rng, trials):
+        for _ in range(trials):
+            f = rand_piecewise(rng, 3)
+            for n in (2, 3, 4):
+                full = f.convolution_power(n)
+                s0, s1 = full.support
+                xs = list(full.breakpoints) + [s0 - 1, s1 + Fraction(1, 3), Fraction(1, 7), Fraction(-3, 7),
+                                               (s0 + s1) / 2 + Fraction(1, 11)]
+                assert f.convolution_power_at(n, xs) == [full.eval(x) for x in xs], (f, n)
+                # one point at a time: the cuts skipped depend on max(xs)
+                for x in (s0, s1, Fraction(1, 7), full.breakpoints[len(full.breakpoints) // 2]):
+                    assert f.convolution_power_at(n, [x]) == [full.eval(x)], (f, n, x)
+
+    def test_edge_cases(self, rng):
+        zero, f = PiecewisePoly.zero(), rand_piecewise(rng, 2)
+        assert zero.convolution_power_at(3, [0, 1, Fraction(1, 7)]) == [0, 0, 0]
+        assert f.convolution_power_at(3, []) == []
+        # n = 1 is f itself, discontinuities and right-closed support end included
+        xs = list(f.breakpoints) + [Fraction(1, 7)]
+        assert f.convolution_power_at(1, xs) == [f.eval(x) for x in xs]
+        with pytest.raises(ValueError, match="n >= 1"):
+            f.convolution_power_at(0, [0])
+
+    def test_iterates_match_the_kernel_at_0_and_1(self):
+        for f in exact_iterates():
+            K = _kernel_of(f, 2, 2.0)
+            assert f.convolution_power_at(3, (0, 1)) == [K(0), K(1)]
+
+    def test_exact_solve_fit_shifts_only_the_final_jumps(self, shifts):
+        # f4 is one piece on [-1, 1]: its jump form is 2 shifts, where
+        # building its kernel on [-1, 1] took 11
+        fs = exact_iterates()
+        shifts[0] = 0
+        for f in fs[:4]:
+            iterate_once(f)
+        updates = shifts[0]
+        shifts[0] = 0
+        solution = run_fixed_point(SolverConfig(mode="exact"))
+        assert solution.f == fs[4]
+        assert shifts[0] - updates == 2
 
 
 def evenness_oracle(f):
