@@ -130,7 +130,7 @@ def _sample_exact_on_unit(f: PiecewisePoly) -> GridFunction:
     if not f.is_even():
         raise ValueError("the plot sampler takes an even density")
     half = (PLOT_NODES - 1) // 2
-    right = np.fromiter(f.sample_lattice(range(half + 1), half), float, count=half + 1)
+    right = f.sample_lattice(range(half + 1), half)
     return GridFunction(-1.0, 1.0 / half, np.concatenate([right[:0:-1], right]))
 
 

@@ -18,7 +18,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .grid import GridFunction
+from .grid import MAX_GRID_NODES, GridFunction
 from .piecewise import PiecewisePoly, Polynomial
 
 Density = Union[PiecewisePoly, GridFunction]
@@ -26,7 +26,6 @@ Density = Union[PiecewisePoly, GridFunction]
 # relative tolerance of the feasibility check after a rescaling
 _FEASIBLE_RTOL = 1e-9
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
-MAX_GRID_NODES = 1 << 24  # most nodes of GeneralizedGaussian.to_grid, 128 MiB of floats
 
 
 class DegenerateDensity(ValueError):

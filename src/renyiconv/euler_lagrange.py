@@ -165,7 +165,7 @@ def counterexample_check() -> CounterexampleReport:
     # max of |K - a g - b| over the nodes k/1000 of [-1, 1]; rounding to
     # the nearest float is monotone and odd, so this is float of the exact max
     resid = K - g * a - PiecewisePoly.indicator(-1, 1, b)
-    sup = max(map(abs, resid.sample_lattice(range(-1000, 1001), 1000)))
+    sup = float(np.abs(resid.sample_lattice(range(-1000, 1001), 1000)).max())
 
     # triple self convolution of -2 on [-1,1], compared on [-1,1]
     m2 = PiecewisePoly.indicator(-1, 1, -2)

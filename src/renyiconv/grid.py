@@ -28,7 +28,7 @@ _CONV_CLAMP_REL = 1e-10
 _SPACING_RTOL = 1e-12
 CSV_HEADER = "x,value"  # of the plot CSVs, written by the CLI and read by read_csv
 _SUM_BLOCK = 1 << 14  # values per bincount in exact_sum: bucket sums stay below 2^41
-_NODE_CHUNK = 1 << 10  # nodes per numpy call in sample
+MAX_GRID_NODES = 1 << 24  # most nodes of a grid made from a density, 128 MiB of floats
 
 
 def exact_sum(a: np.ndarray) -> float:
@@ -196,28 +196,17 @@ def sample(f: PiecewisePoly, dx: float) -> GridFunction:
     lo = float(support start).
 
     Each value is the correctly rounded float of f's exact value at the
-    node x_k itself (a float is an exact dyadic rational).  numpy forms
-    the nodes with the same two roundings as lo + k*dx, and splits each
-    into M 2^(e-53) with an integer M below 2^53 (frexp); the nodes go to
-    PiecewisePoly.sample_lattice as integer numerators over the one power
-    of two that the smallest e needs, so its certified fast path serves
-    every node.
+    node x_k itself (a float is an exact dyadic rational), from the float
+    route of PiecewisePoly.sample_lattice.  More than MAX_GRID_NODES nodes
+    raise ValueError before any is made.
     """
-    if not (dx > 0):
-        raise ValueError("dx must be positive")
+    if not 0 < dx < math.inf:
+        raise ValueError(f"dx must be positive and finite, got {dx}")
     lo, hi = float(f.support[0]), float(f.support[1])
-    n = max(2, int(math.ceil((hi - lo) / dx - 1e-9)) + 1)
-    xs = lo + np.arange(n) * dx
-    low = min(int(np.frexp(xs)[1].min()), 53)
-
-    def numerators():
-        # a chunk at a time: no list of n Python ints is held
-        for start in range(0, n, _NODE_CHUNK):
-            mant, ex = np.frexp(xs[start:start + _NODE_CHUNK])
-            yield from map(int.__lshift__, (mant * 2.0 ** 53).astype(np.int64).tolist(), (ex - low).tolist())
-
-    vals = np.fromiter(f.sample_lattice(numerators(), 1 << (53 - low)), float, count=n)
-    return GridFunction(lo, dx, vals)
+    n = max(2, math.ceil(min((hi - lo) / dx - 1e-9, MAX_GRID_NODES)) + 1)  # min: ceil of inf raises
+    if n > MAX_GRID_NODES:
+        raise ValueError(f"sampling [{lo}, {hi}] at dx = {dx} needs more than {MAX_GRID_NODES} grid nodes")
+    return GridFunction(lo, dx, f.sample_lattice(lo + np.arange(n) * dx))
 
 
 def _check_spacing(f: GridFunction, g: GridFunction) -> float:

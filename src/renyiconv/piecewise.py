@@ -16,29 +16,26 @@ that part of the product: the terms that start at or beyond hi are never
 formed, and pieces below lo are summed through but not built; see
 PiecewisePoly.convolve.
 
-Floats leave this module through one route, PiecewisePoly.sample_lattice:
-at nodes m / den sharing one denominator, each value is an integer Horner
-sum divided once by an integer, which CPython rounds correctly, so it is
-the float of the exact value without building a Fraction per node.  At a
-power-of-two den, as at every float node, a fixed-point Horner with a
-proven error bound comes first, and the exact sum runs only where that
-bound leaves the rounding in doubt (Ziv, ACM TOMS 17, 1991).
+Floats leave this module through one route, PiecewisePoly.sample_lattice,
+at nodes m / den or float nodes: a double-word Horner in numpy with a
+proven error bound, and the exact integer Horner, divided once, only
+where that bound leaves the rounding in doubt (Ziv, ACM TOMS 17, 1991).
 """
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from math import ceil, factorial, inf, lcm, ldexp
+from math import factorial, inf, lcm, nan
 from typing import Iterable, Iterator, Union
+
+import numpy as np
 
 RationalLike = Union[Fraction, int, str]
 
 # assert_nonnegative: samples per piece, bisection steps per sign change
 _NONNEG_SAMPLES = 64
 _NONNEG_BISECT_STEPS = 30
-# sample_lattice's fixed-point Horner: fraction bits, far below the 1074
-# of the smallest subnormal, so a certified value is never 0 or subnormal
-_FIXED_BITS = 192
+_CHUNK = 1 << 12  # nodes per double-word Horner: bounds its temporaries
 
 
 class NegativeDensity(ValueError):
@@ -130,22 +127,19 @@ class Polynomial:
         ks = range(d, -1, -2 if even else -1)
         return [nums[k] * den ** (d - k) for k in ks], cden * den ** d, even
 
-    def _fixed_form(self, bound: int) -> tuple[list[int], int, bool]:
-        """(terms, err, even) of the fixed-point Horner for |x| <= bound, an
-        integer >= 1: terms are round(a_k 2^S) (highest degree first; only
-        even degrees when every odd coefficient is zero), S = _FIXED_BITS.
-
-        With y = x, or x^2 when even, the loop acc = floor(acc y) + term
-        ends within err of 2^S p(x): each term is off by at most 1/2, each
-        floor by less than 1, and an error grows by at most |y| <= X per
-        step, so n terms stay within 3 n X^(n-1) / 2, X = bound (squared
-        when even)."""
-        nums, den = self._integers()
-        even = not any(nums[1::2])
-        ks = range(len(nums) - 1, -1, -2 if even else -1)
-        terms = [((nums[k] << (_FIXED_BITS + 1)) + den) // (2 * den) for k in ks]
-        x, n = (bound * bound if even else bound), len(terms)
-        return terms, (3 * n * x ** max(n - 1, 0) + 1) // 2, even
+    def _double_words(self, bound: Fraction):
+        """(hi, lo, even, big) for _dw_horner at |x| <= bound: c = hi + lo, highest
+        degree first (in y = x^2 if every odd c is 0), and big = max(1, sum |hi|)
+        max(1, |y|)^n; None past the float range or 2^995, where splits overflow."""
+        even = not any(self.coeffs[1::2])
+        cs = self.coeffs[::-2] if even else self.coeffs[::-1]
+        try:
+            hi = [float(c) for c in cs]
+            lo = [float(c - Fraction(h)) for c, h in zip(cs, hi)]
+            big = max(1.0, sum(map(abs, hi))) * max(1.0, float(bound) ** (1 + even)) ** len(cs)
+        except OverflowError:
+            return None
+        return (hi, lo, even, big) if big < 2.0 ** 995 else None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
@@ -242,6 +236,66 @@ def _exact_value(form: tuple[list[int], int, bool], m: int) -> float:
     exact Horner sum over the divisor, one correctly rounded division."""
     terms, divisor, even = form
     return _horner(terms, m * m if even else m) / divisor
+
+
+def _split(a):
+    """Veltkamp: a = hi + lo exactly, each with at most 26 significant bits."""
+    c = a * 134217729.0  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_sum(a, b):
+    """Knuth: s + t = a + b exactly, s = RN(a + b)."""
+    s = a + b
+    z = s - a
+    return s, (a - (s - z)) + (b - z)
+
+
+def _two_prod(a, b, b_halves):
+    """Dekker: p + e = a b exactly, p = RN(a b), barring underflow."""
+    p = a * b
+    (ah, al), (bh, bl) = _split(a), b_halves
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _dw_horner(form: tuple, xh: np.ndarray, xl: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Writes into out the leading words h of the double-word Horner sum
+    s <- s y + c of a _double_words form at the nodes xh + xl; returns
+    where h = RN(v) is proved for the exact value v (never at xh = NaN).
+
+    Bound.  Let u = 2^-53, n the terms, P_j the partial sums of p~ (Horner
+    on |c| at |y|).  c = hi + lo is within u^2|c|; y = yh + yl is exact at
+    a float node and within 9u^2|y| at m / den, with |yl| <= 4u|yh|.
+    TwoProduct and TwoSum are exact and leave |sl| <= u|sh|, so the dropped
+    sl yl and six rounded operations on low words err by at most
+    33u^2|s||y| + 4u^2|c|: E_j <= (1 + e)|y| E_(j-1) + e P_j, e = 43u^2, and
+    E <= n e (1 + e)^n p~ < 44 n u^2 p~.  Float pt is within 1 + 8nu of p~,
+    so B = 64 n u^2 pt has room to round.  Below 2^-969 an operation rounds
+    absolutely, by 2^-1075; through the node (|p'| <= n big) and the later
+    steps (together a factor <= big) that stays below U = n big 2^-1060.
+
+    Certification.  v is within |l| + B + U of h (l = sl).  The floats that
+    round to h reach half a gap each way, the gap toward zero the smaller
+    (half the other at a power of two); below half of it, RN(v) = h.  A tie,
+    h = 0 and a subnormal h never certify, and rounding the left side stays
+    in B's slack: u^2|h| <= u^2 p~ < B / 32.
+    """
+    hi, lo, even, big = form
+    yh, yl = _two_prod(xh, xh, _split(xh)) if even else (xh, xl)  # y = x^2 when even
+    if even:
+        yl += 2 * xh * xl
+    halves, ay = _split(yh), np.abs(yh)
+    sh, sl, pt = (np.full_like(yh, c) for c in (hi[0], lo[0], abs(hi[0])))
+    for ch, cl in zip(hi[1:], lo[1:]):
+        p, e = _two_prod(sh, yh, halves)
+        e += sh * yl + sl * yh + cl
+        sh, t = _two_sum(p, ch)
+        sh, sl = _two_sum(sh, t + e)
+        pt = pt * ay + abs(ch)
+    out[:], n, ah = sh, len(hi), np.abs(sh)
+    bound = pt * (n * 2.0 ** -100) + n * big * 2.0 ** -1060
+    return np.abs(sl) + bound < (ah - np.nextafter(ah, 0)) / 2
 
 
 def _taylor_shift(cs: list[int], s: int) -> list[int]:
@@ -398,62 +452,48 @@ class PiecewisePoly:
 
     __call__ = eval
 
-    def sample_lattice(self, numerators: Iterable[int], den: int) -> Iterator[float]:
-        """Floats of f at the nodes m / den, for non-decreasing integers m
-        (consumed one at a time; a decrease raises ValueError) and den >= 1.
+    def sample_lattice(self, nodes: Iterable, den: int | None = None) -> np.ndarray:
+        """float(self.eval(x)) bit for bit at the non-decreasing nodes
+        x = m / den (integers m, den >= 1), or at float nodes when den is
+        None; a decrease raises ValueError, and a value beyond the float
+        range OverflowError, as float() of the Fraction does.
 
-        Each value is float(self.eval(Fraction(m, den))) bit for bit: the
-        unreduced Horner numerator over its denominator, one int/int true
-        division, which CPython rounds correctly, subnormals included, and
-        which raises OverflowError beyond the float range, as float() of
-        the reduced Fraction does.  The walk finds pieces by integer
-        thresholds: m / den >= b iff m >= ceil(b den).
-
-        At a power of two den = 2^e, which every float node has, the
-        piece's fixed-point Horner (Polynomial._fixed_form) runs first, on
-        integers of about S = 192 bits: acc = (acc y >> e) + term, y = m
-        (or m^2 and 2e when even).  It brackets 2^S p(x) within acc +- err.
-        int-to-float conversion rounds correctly and monotonically, so when
-        float(acc - err) and float(acc + err) are one float, it is the
-        float of 2^S p(x), and scaled by 2^-S, exactly (a nonzero bracket
-        end is at least 1, so the value is a normal float), it is p(x)'s.
-        Only a node whose bracket rounds apart, touches 0 or nears the
-        float range takes the exact Horner, whose terms a piece builds at
-        its first such node; at other den every node does.
+        A node is a double word xh + xl: a float node exactly; for |m|,
+        den < 2^53, xh = RN(m / den) and xl the float of (m - xh den) / den,
+        whose numerator TwoProduct makes exactly.  _dw_horner runs a piece's
+        _double_words at up to 2^12 nodes at once and proves each rounding;
+        the rest take _exact_value, the integer Horner over _lattice_form(den)
+        divided once, which CPython rounds correctly (a float node is m over
+        the least power of two that serves all nodes).
         """
-        bps = self.breakpoints
-        starts = [-(-b.numerator * den // b.denominator) for b in bps[:-1]]
-        end = bps[-1].numerator * den // bps[-1].denominator
-        shift = den.bit_length() - 1 if den & (den - 1) == 0 else None
-        fixed: list = [None] * len(self.pieces)
-        exact: list = [None] * len(self.pieces)
-        i, last, prev = 0, len(self.pieces) - 1, -inf
-        for m in numerators:
-            if m < prev:
-                raise ValueError(f"lattice nodes must be non-decreasing: {m} after {prev}")
-            prev = m
-            if m < starts[0] or m > end:
-                yield 0.0
+        if den is None:
+            keys = xh = np.asarray(nodes, dtype=float)
+            xl, node = np.zeros_like(xh), Fraction
+            decreasing = bool(np.any(xh[1:] < xh[:-1]))
+            den = 1 << 53 - min(int(np.frexp(xh)[1].min(initial=53)), 53)
+        else:
+            keys = list(nodes)
+            decreasing, node = keys != sorted(keys), lambda m: Fraction(m, den)
+            fits = keys and den < 2 ** 53 and -2 ** 53 < keys[0] and keys[-1] < 2 ** 53
+            mf, d = np.array(keys, dtype=float) if fits else np.full(len(keys), nan), float(min(den, 2 ** 53))
+            xh = mf / d  # NaN beyond 2^53: never certified
+            p, e = _two_prod(xh, d, _split(d))
+            xl = (mf - p - e) / d
+        if decreasing:
+            raise ValueError("lattice nodes must be non-decreasing")
+        bps, out = self.breakpoints, np.zeros(len(keys))
+        cuts = [bisect_left(keys, b, key=node) for b in bps[:-1]] + [bisect_right(keys, bps[-1], key=node)]
+        for i, piece in enumerate(self.pieces):
+            if piece.is_zero() or cuts[i] >= cuts[i + 1]:
                 continue
-            while i < last and m >= starts[i + 1]:
-                i += 1
-            if shift is not None:
-                if fixed[i] is None:
-                    fixed[i] = self.pieces[i]._fixed_form(max(1, ceil(max(-bps[i], bps[i + 1]))))
-                terms, err, even = fixed[i]
-                y, sh = (m * m, 2 * shift) if even else (m, shift)
-                acc = 0
-                for t in terms:
-                    acc = (acc * y >> sh) + t
-                # below 2^1023 neither end of the bracket overflows a float
-                if (abs(acc) + err).bit_length() <= 1023:
-                    low = float(acc - err)
-                    if low == float(acc + err):
-                        yield ldexp(low, -_FIXED_BITS)
-                        continue
-            if exact[i] is None:
-                exact[i] = self.pieces[i]._lattice_form(den)
-            yield _exact_value(exact[i], m)
+            form, exact = piece._double_words(max(-bps[i], bps[i + 1])), None
+            for a in range(cuts[i], cuts[i + 1], _CHUNK):
+                b = min(a + _CHUNK, cuts[i + 1])
+                ok = _dw_horner(form, xh[a:b], xl[a:b], out[a:b]) if form else np.zeros(b - a, bool)
+                for k in np.flatnonzero(~ok) + a:
+                    exact = exact or piece._lattice_form(den)
+                    out[k] = _exact_value(exact, int(node(keys[k]) * den))
+        return out
 
     def __eq__(self, other) -> bool:
         return (

@@ -117,7 +117,9 @@ def initial_iterate(config: SolverConfig) -> Density:
     f0 = PiecewisePoly.indicator(-1, 1)
     if config.mode == "exact":
         return f0
-    steps = round(1.0 / config.dx)
+    steps = round(min(1.0 / config.dx, _grid.MAX_GRID_NODES))  # min: round of inf raises
+    if 2 * steps + 1 > _grid.MAX_GRID_NODES:  # refused before anything is allocated
+        raise ValueError(f"dx = {config.dx} needs more than {_grid.MAX_GRID_NODES} grid nodes on [-1, 1]")
     if not abs(steps * config.dx - 1.0) <= 1e-9:  # NaN (dx = inf) fails too
         raise ValueError("dx must divide 1 so that 0 and +-1 are grid nodes")
     return _grid.symmetric_grid(np.ones(2 * steps + 1), config.dx)

@@ -117,9 +117,33 @@ def test_invalid_flag_values_exit_2(tmp_path, argv):
     (["solve", "--dx", "inf"], "dx must divide 1 so that 0 and +-1 are grid nodes"),
     (["compare", "--dx", "inf"], "dx must divide 1 so that 0 and +-1 are grid nodes"),
     (["iterate", "--mode", "grid", "--dx", "inf"], "dx must divide 1 so that 0 and +-1 are grid nodes"),
+    (["solve", "--mode", "exact", "--dx", "inf"], "dx must be positive and finite, got inf"),
 ], ids=" ".join)
 def test_infinite_p_or_dx_exits_2_naming_it(tmp_path, capsys, argv, message):
     # gengauss --p inf once wrote NaN for lp_mass and renyi_entropy and exited 0
+    out = tmp_path / "o"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir(out) == []
+
+
+GRID_LIMIT = "16777216 grid nodes"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--mode", "grid", "--dx", "1e-12"], f"dx = 1e-12 needs more than {GRID_LIMIT} on [-1, 1]"),
+    (["iterate", "--mode", "grid", "--dx", "1e-12"], f"dx = 1e-12 needs more than {GRID_LIMIT} on [-1, 1]"),
+    (["compare", "--dx", "1e-12"], f"dx = 1e-12 needs more than {GRID_LIMIT} on [-1, 1]"),
+    (["solve", "--mode", "grid", "--dx", "5e-324"], f"dx = 5e-324 needs more than {GRID_LIMIT} on [-1, 1]"),
+    (["solve", "--mode", "exact", "--dx", "1e-12"], f"sampling [-1.0, 1.0] at dx = 1e-12 needs more than {GRID_LIMIT}"),
+    (["counterexample", "--grid-check", "--dx", "1e-12"],
+     f"sampling [-1.0, 1.0] at dx = 1e-12 needs more than {GRID_LIMIT}"),
+    (["counterexample", "--grid-check", "--dx", "1e-300"],
+     f"sampling [-1.0, 1.0] at dx = 1e-300 needs more than {GRID_LIMIT}"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_grid_beyond_the_node_limit_exits_2_naming_dx(tmp_path, capsys, argv, message):
+    # these once ended in numpy's _ArrayMemoryError, or its bare
+    # "Maximum allowed size exceeded", with exit 1
     out = tmp_path / "o"
     assert run(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"

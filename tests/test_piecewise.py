@@ -10,6 +10,7 @@ import pytest
 
 from renyiconv import cli, grid, piecewise
 from instruments import reflect, restrict, translate
+from renyiconv.euler_lagrange import counterexample_check
 from renyiconv.piecewise import (
     NegativeDensity,
     PiecewisePoly,
@@ -537,7 +538,7 @@ class TestSampleLattice:
 
     def test_subnormal_result(self):
         f = PiecewisePoly.single(Polynomial([Fraction(1, 3 * 2**1060), Fraction(1, 2**1062)]), -1, 1)
-        for den in (5, 4):  # 4 tries the certified fixed point first
+        for den in (5, 4):  # a subnormal value is never certified
             ms = list(range(-den, den + 1))
             vals = list(f.sample_lattice(ms, den))
             assert vals == reference(f, ms, den)
@@ -565,9 +566,9 @@ def bits(values):
 
 
 class TestCertifiedSampling:
-    """At a power-of-two denominator sample_lattice certifies a fixed-point
-    Horner and runs the exact one only where the rounding is in doubt;
-    either way each value is float(f.eval(x)) bit for bit."""
+    """sample_lattice certifies a double-word Horner node by node and runs
+    the exact one only where the rounding is in doubt; either way each
+    value is float(f.eval(x)) bit for bit."""
 
     @pytest.fixture
     def exact_nodes(self, monkeypatch):
@@ -596,7 +597,7 @@ class TestCertifiedSampling:
         f = PiecewisePoly.single(Polynomial([r + Fraction(1, 2**53), tilt]), -1, 1)
         ms = [1, 2, 3] if tilt else [-3, 0, 3]
         assert list(f.sample_lattice(ms, 4)) == [want] * 3
-        # 2^-250 is below the fixed point's error, so no bracket decides
+        # 2^-250 is below the double-word error bound, so none certifies
         assert exact_nodes == ms
         self.check(f, ms, 4)
 
@@ -643,7 +644,7 @@ class TestCertifiedSampling:
         third = 2**40 // 3
         ms = sorted(set(range(-2**40, 2**40 + 1, 2**30)) | set(range(third - 20, third + 21)))
         vals = list(f.sample_lattice(ms, 2**40))
-        # near 1/3 no bracket decides, elsewhere one does
+        # near 1/3 the bound certifies nothing, elsewhere it does
         assert 0 < len(exact_nodes) < len(ms) // 2
         assert vals == reference(f, ms, 2**40)
 
@@ -651,6 +652,71 @@ class TestCertifiedSampling:
         g = grid.sample(exact_iterates()[4], 1e-3)
         assert len(g) == 2001
         assert len(exact_nodes) <= len(g) // 100
+        exact_nodes.clear()
+        assert len(cli._sample_exact_on_unit(exact_iterates()[4])) == 2001
+        assert len(exact_nodes) <= 2001 // 100
+        exact_nodes.clear()
+        counterexample_check()  # samples its residual at k/1000, k = -1000..1000
+        assert len(exact_nodes) <= 2001 // 100
+
+    # the midpoint 1 - 2^-54 between 1 - 2^-53 and 1 is half the gap below
+    # 1, a power of two, where the gap above is twice as wide
+    @pytest.mark.parametrize("tilt, want", [(-1, 1 - 2.0**-53), (1, 1.0)], ids=["below", "above"])
+    def test_halved_gap_below_a_power_of_two(self, exact_nodes, tilt, want):
+        v = 1 - Fraction(1, 2**54) + tilt * Fraction(1, 2**80)
+        f = PiecewisePoly.single(Polynomial([v]), -1, 1)
+        assert list(f.sample_lattice([-4, 0, 4], 4)) == [want] * 3
+        assert exact_nodes == []  # one double word holds v to 2^-106
+        # c0 + c1 at x = 1, with c1 = 2^40 + 2^-20 + tilt 2^-80: the 2^-80
+        # is lost in c1's double word, and the Horner sum reads exactly
+        # 1 - 2^-54, the midpoint; only its bound can tell the side
+        c1 = 2**40 + Fraction(1, 2**20) + tilt * Fraction(1, 2**80)
+        g = PiecewisePoly.single(Polynomial([v - c1, c1]), 0, 2)
+        assert list(g.sample_lattice([4], 4)) == [want]
+        assert exact_nodes == [4]
+        self.check(g, [0, 3, 4, 5, 8], 4)
+
+    def test_plot_nodes_beyond_the_unit_interval(self, rng, exact_nodes):
+        cs = [rand_fraction(rng, 10**6, 10**6) for _ in range(14)]
+        f = PiecewisePoly([-8, Fraction(-7, 3), 8], [Polynomial(cs), Polynomial(cs[::2])])
+        ms = range(-8003, 8004, 7)
+        self.check(f, ms, 1000)
+        assert len(exact_nodes) <= len(ms) // 100
+
+    @pytest.mark.parametrize("c, certified", [(Fraction(2**990), True), (Fraction(2**995), False),
+                                              (Fraction(2**996) - 2**900, False)], ids=["2^990", "2^995", "2^996"])
+    def test_coefficients_near_the_split_limit(self, exact_nodes, c, certified):
+        # Veltkamp's split multiplies by 2^27 + 1, which overflows from 2^996
+        f = PiecewisePoly.single(Polynomial([c, 0, -c / 3]), -1, 1)
+        ms = range(-8, 9)
+        self.check(f, ms, 8)
+        assert exact_nodes == ([] if certified else list(ms))
+
+    @pytest.mark.parametrize("a, b, k", [(310, 79, 265), (32, 935, 7), (913, 15, 255)])
+    def test_low_words_that_underflow(self, a, b, k):
+        # values near 2^-1020: the low words of c1 x fall below 2^-1022,
+        # where each rounding is absolute, so only the term U keeps these
+        # off the certified path
+        f = PiecewisePoly.single(Polynomial([Fraction(a, 3 * 2**1030), Fraction(b, 7 * 2**560)]), -1, 1)
+        x = k * 2.0**-470
+        assert bits(f.sample_lattice([x])) == bits([float(f.eval(Fraction(x)))])
+
+    def test_random_pieces_against_eval(self, rng):
+        # 200 pieces of degree <= 40 (half of them even), at k/1000, at a
+        # non-dyadic den and at float nodes
+        for _ in range(200):
+            cs = [rand_fraction(rng, 10**4, 10**4) * Fraction(2) ** int(rng.integers(-30, 31))
+                  for _ in range(int(rng.integers(1, 42)))]
+            if rng.random() < 0.5:
+                cs[1::2] = [0] * len(cs[1::2])
+            lo = rand_fraction(rng, 40, 8)
+            f = PiecewisePoly.single(Polynomial(cs), lo, lo + rand_fraction(rng, 40, 8) ** 2 + 1)
+            a, b = f.support
+            for den in (1000, 7):
+                ms = sorted(set(rng.integers(floor(a * den) - 1, ceil(b * den) + 2, size=12).tolist()))
+                self.check(f, ms, den)
+            xs = np.sort(float(a) + rng.random(12) * float(b - a))
+            assert bits(f.sample_lattice(xs)) == bits([float(f.eval(Fraction(x))) for x in xs])
 
     @pytest.mark.parametrize("lo, dx", [(-1.0, 1e-3), (-0.3, 0.01), (0.1, 1 / 3), (-3.7, 7.3e-3),
                                         (1e-300, 0.25), (-2.0, 0.125)])

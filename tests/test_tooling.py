@@ -7,8 +7,10 @@ convolve_grid chooses, so products that share a factor can share its
 spectrum, and a command's products run at as few lengths as possible.
 
 Exact values become floats in one place, PiecewisePoly.sample_lattice,
-which divides integers once per node instead of building a Fraction per
-node; float(f.eval(x)) elsewhere in the package would be a second route.
+which runs a certified double-word Horner over all nodes at once and
+divides integers once only at the nodes it cannot certify, instead of
+building a Fraction per node; float(f.eval(x)) elsewhere in the package
+would be a second route.
 
 A plain pair convolve_grid(f, g) with no window transforms at a power
 of two, not at the 5-smooth length of every other product.  It survives
