@@ -10,11 +10,12 @@ The hot kernels work on integer numerators over a common denominator:
 Horner's rule for evaluation, and for convolution the truncated-power
 ("jump") form of de Boor, A Practical Guide to Splines, with integer Taylor
 shifts (von zur Gathen and Gerhard, ISSAC 1997): one shift per breakpoint
-of each factor, of the difference of the pieces meeting there, and one
-per output cut.  A convolution takes a window [lo, hi] and builds only
-that part of the product: the terms that start at or beyond hi are never
-formed, and pieces below lo are summed through but not built; see
-PiecewisePoly.convolve.
+of each distinct factor, of the difference of the pieces meeting there,
+and one per output cut.  A product of any number of factors, C_n among
+them, is one chain of jump products, _jump_chain.  It takes a window
+[lo, hi] and builds only that part: the terms that start at or beyond hi
+are never formed, and pieces below lo are summed through but not built;
+see PiecewisePoly.convolve.
 
 Floats leave this module through one route, PiecewisePoly.sample_lattice,
 at nodes m / den or float nodes: a double-word Horner in numpy with a
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from math import factorial, inf, lcm, nan
+from math import factorial, inf, lcm, nan, prod
 from typing import Iterable, Iterator, Union
 
 import numpy as np
@@ -330,20 +331,35 @@ def _jumps(f: "PiecewisePoly", scale: int) -> tuple[dict[int, list[int]], int]:
     return jumps, den * scale ** d
 
 
-def _jump_product(jf: dict, jg: dict, top: int, w1: float) -> dict[int, list[int]]:
-    """Convolution of jump forms: order m <= top at s = a + b < w1 sums
-    J_{a,j} J_{b,k} over j + k + 1 = m.  jg's cuts must increase."""
-    acc: dict[int, list[int]] = {}
-    for a, uf in jf.items():
-        for b, ug in jg.items():  # b increases: the rest start at or beyond w1
-            if a + b >= w1:
-                break
-            out = acc.setdefault(a + b, [0] * (top + 1))
-            for j, u in enumerate(uf):
-                if u:
-                    for m, v in enumerate(ug, j + 1):
-                        out[m] += u * v
-    return acc
+def _jump_chain(factors: tuple, scale: int, w1: float) -> tuple[dict[int, list[int]], int]:
+    """Jumps of the convolution of the factors in y = scale * x, where
+    scale * b is an integer at every breakpoint b of every factor.
+
+    One _jumps form per distinct factor; the forms are multiplied left to
+    right, order m at s = a + b summing J_{a,j} J_{b,k} over j + k + 1 = m.
+    A cut s is dropped when s plus the leftmost cuts of the factors still
+    to come reaches w1: every term it feeds starts at or beyond w1.
+    Returns ({s: [c_0, ..., c_top]}, den), Taylor-normalized: the product
+    is sum over cuts s < y of sum_m c_m (y - s)^m / den, with dx = dy / scale.
+    """
+    forms = {key: _jumps(f, scale) for key, f in {id(f): f for f in factors}.items()}
+    chain = [forms[id(f)][0] for f in factors]
+    acc, width = chain[0], len(chain[0][min(chain[0])])
+    for k, jg in enumerate(chain[1:], 2):  # acc becomes the first k factors' jumps, orders below width
+        prev, acc, width = acc, {}, width + len(jg[min(jg)])
+        limit = w1 - sum(min(j) for j in chain[k:])
+        for a, uf in prev.items():
+            for b, ug in jg.items():  # b increases: the rest start at or beyond limit
+                if a + b >= limit:
+                    break
+                out = acc.setdefault(a + b, [0] * width)
+                for j, u in enumerate(uf):
+                    if u:
+                        for m, v in enumerate(ug, j + 1):
+                            out[m] += u * v
+    norm = [factorial(width - 1) // factorial(m) for m in range(width)]
+    den = factorial(width - 1) * scale ** (len(factors) - 1) * prod(forms[id(f)][1] for f in factors)
+    return {s: [u * c for u, c in zip(js, norm)] for s, js in acc.items()}, den
 
 
 class PiecewisePoly:
@@ -439,12 +455,9 @@ class PiecewisePoly:
 
     def _poly_at(self, x: Fraction) -> Polynomial:
         """Polynomial valid at x (zero polynomial outside the support)."""
-        if x < self.breakpoints[0] or x > self.breakpoints[-1]:
+        if not self.breakpoints[0] <= x <= self.breakpoints[-1]:
             return _ZERO_POLY
-        if x == self.breakpoints[-1]:
-            return self.pieces[-1]
-        i = bisect_right(self.breakpoints, x) - 1
-        return self.pieces[i]
+        return self.pieces[min(bisect_right(self.breakpoints, x), len(self.pieces)) - 1]
 
     def eval(self, x: RationalLike) -> Fraction:
         """Value at x, half-open pieces, right-closed at the support end."""
@@ -621,18 +634,17 @@ class PiecewisePoly:
         if k != p or k < 1:
             raise ValueError(f"exact p-mass requires an integer p >= 1, got {p}")
         self.assert_nonnegative()
-        if k == 1:
-            return self.mass
-        return self.power_int(k).mass
+        return self.mass if k == 1 else self.power_int(k).mass
 
     # ------------------------------------------------------------------
     # convolution
 
-    def convolve(self, other: "PiecewisePoly", lo: RationalLike | None = None,
+    def convolve(self, other: "PiecewisePoly", *more: "PiecewisePoly", lo: RationalLike | None = None,
                  hi: RationalLike | None = None) -> "PiecewisePoly":
-        """Exact convolution (f * g)(x) = int f(t) g(x - t) dt, in jump form,
-        on the window [lo, hi]: exactly f * g on [lo, hi] and zero outside,
-        with an end left out taken as unbounded.
+        """Exact convolution f * g * ... of self and one or more factors,
+        (f * g)(x) = int f(t) g(x - t) dt, in jump form, on the window
+        [lo, hi]: exactly the product there and zero outside, with an end
+        left out taken as unbounded.
 
         In truncated powers, f = sum J_{a,j} (x-a)_+^j / j! over breakpoints
         a and orders j, with J_{a,j} the jump of the j-th derivative at a,
@@ -641,47 +653,39 @@ class PiecewisePoly:
             (x-a)_+^j/j! * (x-b)_+^k/k! = (x-a-b)_+^(j+k+1) / (j+k+1)!
 
         the jump of order m of f * g at s is the sum of J_{a,j} J_{b,k} over
-        a + b = s and j + k + 1 = m.  One integer Taylor shift per distinct s
-        turns jumps back into monomials, and a running sum over s gives the
-        pieces.  The jumps of each factor at a breakpoint are one Taylor
-        shift of the difference of the pieces meeting there, and f * f
-        takes one jump form for both factors.  The variable is scaled so
-        that every breakpoint and both window ends are integers, and all
-        of it is integer arithmetic over one denominator.
+        a + b = s and j + k + 1 = m.  _jump_chain multiplies the factors'
+        jump forms left to right, one form per distinct factor; one integer
+        Taylor shift per cut turns the product's jumps back into monomials,
+        and a running sum over the cuts gives the pieces.  The variable is
+        scaled so that every breakpoint and both window ends are integers:
+        all of it is integer arithmetic over one denominator.
 
-        Only the window is built.  A term at s >= hi is zero below hi, so
-        pairs with a + b >= hi are skipped and no cut at or beyond hi is
-        shifted.  The running sum passes every cut below lo, but pieces
-        become Fractions only from lo on.  An empty window (lo >= hi)
-        raises ValueError; a window that misses the support gives zero.
+        Only the window is built.  A term at s >= hi is zero below hi, so no
+        cut that reaches hi, even with the leftmost cuts of the factors
+        still to come, is formed or shifted.  The running sum passes every
+        cut below lo, but pieces become Fractions only from lo on.  An empty
+        window (lo >= hi) raises ValueError; a zero factor, or a window that
+        misses the support, gives zero.
         """
-        lo = None if lo is None else as_fraction(lo)
-        hi = None if hi is None else as_fraction(hi)
+        factors = (self, other) + more
+        lo, hi = (None if w is None else as_fraction(w) for w in (lo, hi))
         if lo is not None and hi is not None and lo >= hi:
             raise ValueError(f"empty window [{lo}, {hi}]")
-        if self.is_zero() or other.is_zero():
-            return PiecewisePoly.zero()
-        start, end = (u + v for u, v in zip(self.support, other.support))
-        if (hi is not None and hi <= start) or (lo is not None and lo >= end):
+        start, end = (sum(ends) for ends in zip(*(h.support for h in factors)))
+        if any(h.is_zero() for h in factors) or (hi is not None and hi <= start) or (lo is not None and lo >= end):
             return PiecewisePoly.zero()
         window = tuple(w for w in (lo, hi) if w is not None)
-        scale = lcm(*(b.denominator for b in self.breakpoints + other.breakpoints + window))
+        scale = lcm(*(b.denominator for h in factors for b in h.breakpoints + window))
         w0 = -inf if lo is None else lo.numerator * (scale // lo.denominator)
         w1 = inf if hi is None else hi.numerator * (scale // hi.denominator)
-        jf, den_f = _jumps(self, scale)
-        jg, den_g = (jf, den_f) if other is self else _jumps(other, scale)
-        top = max(p.degree for p in self.pieces) + max(p.degree for p in other.pieces) + 1
-        acc = _jump_product(jf, jg, top, w1)
-        # jumps are in y = scale * x, and dy = scale dx
-        den = den_f * den_g * factorial(top) * scale
+        acc, den = _jump_chain(factors, scale, w1)
         cuts = sorted(acc)
         # the run is zero past the support end, the last cut when it is
         # below hi; otherwise hi closes the last piece
         edges = cuts if hi is None or end < hi else cuts + [w1]
-        pieces, run = [], [0] * (top + 1)
+        pieces, run = [], [0] * len(acc[cuts[0]])
         for s, t in zip(edges, edges[1:]):
-            taylor = [u * (factorial(top) // factorial(m)) for m, u in enumerate(acc[s])]
-            run = [r + c for r, c in zip(run, _taylor_shift(taylor, -s))]
+            run = [r + c for r, c in zip(run, _taylor_shift(acc[s], -s))]
             if t > w0:
                 pieces.append(Polynomial([Fraction(c * scale ** k, den) for k, c in enumerate(run)]))
         bps = edges[len(edges) - len(pieces) - 1:]
@@ -691,33 +695,21 @@ class PiecewisePoly:
     def convolution_power(self, n: int, lo: RationalLike | None = None,
                           hi: RationalLike | None = None) -> "PiecewisePoly":
         """C_n(f), the n-fold self convolution, exact, on the window
-        [lo, hi] as in convolve: a chain of pairs, the last one windowed.
-        n = 1 is f itself and takes no window."""
+        [lo, hi] as in convolve: one product of n factors, whose jump form
+        is f's, taken once.  n = 1 is f itself and takes no window."""
         if n < 1 or n == 1 and (lo, hi) != (None, None):
             raise ValueError("convolution_power takes n >= 1, and a window only for n >= 2")
-        if n == 1:
-            return self
-        out = self
-        for _ in range(n - 2):
-            out = out.convolve(self)
-        return out.convolve(self, lo, hi)
+        return self if n == 1 else self.convolve(*[self] * (n - 1), lo=lo, hi=hi)
 
     def convolution_power_at(self, n: int, xs: Iterable[RationalLike]) -> list[Fraction]:
         """f.convolution_power(n).eval(x) at each rational x, with no piece
-        built: f's jump form in y = scale * x is multiplied n - 1 times as in
-        convolve, skipping cuts that reach max(xs) even with the leftmost cut
-        of each factor to come.  C_n (n >= 2) is continuous, so its value at
-        y is sum_{s < y} sum_m J_{s,m} (y - s)^m / m!, over one denominator."""
+        built: the jumps of convolve's chain of n factors f, with no cut
+        that reaches max(xs).  C_n (n >= 2) is continuous, so its value at
+        y = scale * x is sum_{s < y} sum_m c_m (y - s)^m / den."""
         xs = [as_fraction(x) for x in xs]
         if n < 2 or not xs or self.is_zero():
             return [self.convolution_power(n).eval(x) for x in xs]
         scale = lcm(*(q.denominator for q in self.breakpoints + tuple(xs)))
         ys = [x.numerator * (scale // x.denominator) for x in xs]
-        jf, den = _jumps(self, scale)
-        acc, first, d = jf, min(jf), len(jf[min(jf)])  # f's leftmost cut, orders 0..d-1
-        for k in range(2, n + 1):  # acc becomes C_k's jumps, orders up to k d - 1; dy = scale dx
-            acc = _jump_product(acc, jf, k * d - 1, max(ys) - (n - k) * first)
-        top = n * d - 1
-        terms = {s: [u * (factorial(top) // factorial(m)) for m, u in enumerate(js)][::-1] for s, js in acc.items()}
-        den = factorial(top) * den ** n * scale ** (n - 1)
-        return [Fraction(sum(_horner(t, y - s) for s, t in terms.items() if s < y), den) for y in ys]
+        acc, den = _jump_chain((self,) * n, scale, max(ys))
+        return [Fraction(sum(_horner(cs[::-1], y - s) for s, cs in acc.items() if s < y), den) for y in ys]

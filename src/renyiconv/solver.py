@@ -112,17 +112,22 @@ class FixedPointSolution:
     clip_was_active: bool = False
 
 
+def _unit_steps(dx: float) -> int:
+    """Steps of dx in [0, 1]; raises ValueError past the node limit or unless dx divides 1."""
+    steps = round(min(1.0 / dx, _grid.MAX_GRID_NODES))  # min: round of inf raises
+    if 2 * steps + 1 > _grid.MAX_GRID_NODES:  # refused before anything is allocated
+        raise ValueError(f"dx = {dx} needs more than {_grid.MAX_GRID_NODES} grid nodes on [-1, 1]")
+    if not abs(steps * dx - 1.0) <= 1e-9:  # NaN (dx = inf) fails too
+        raise ValueError("dx must divide 1 so that 0 and +-1 are grid nodes")
+    return steps
+
+
 def initial_iterate(config: SolverConfig) -> Density:
     """f_0 = indicator of [-1, 1], exact or sampled."""
     f0 = PiecewisePoly.indicator(-1, 1)
     if config.mode == "exact":
         return f0
-    steps = round(min(1.0 / config.dx, _grid.MAX_GRID_NODES))  # min: round of inf raises
-    if 2 * steps + 1 > _grid.MAX_GRID_NODES:  # refused before anything is allocated
-        raise ValueError(f"dx = {config.dx} needs more than {_grid.MAX_GRID_NODES} grid nodes on [-1, 1]")
-    if not abs(steps * config.dx - 1.0) <= 1e-9:  # NaN (dx = inf) fails too
-        raise ValueError("dx must divide 1 so that 0 and +-1 are grid nodes")
-    return _grid.symmetric_grid(np.ones(2 * steps + 1), config.dx)
+    return _grid.symmetric_grid(np.ones(2 * _unit_steps(config.dx) + 1), config.dx)
 
 
 def _kernel_of(f: Density, n: int, p: float) -> Density:
@@ -219,6 +224,8 @@ def run_fixed_point(config: SolverConfig) -> FixedPointSolution:
 
     f = initial_iterate(config)
     fs = sample(f)
+    if exact:  # after sample's own dx checks; the residual reads the grid at +-1
+        _unit_steps(config.dx)
     max_iter = config.resolved_max_iter()
     records = []
     converged = exact or max_iter == 0

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import renyiconv
-from renyiconv import cli
+from renyiconv import cli, solver
 from renyiconv.grid import read_csv
 from renyiconv.solver import SolverConfig, initial_iterate, iterate_once
 
@@ -147,6 +147,20 @@ def test_grid_beyond_the_node_limit_exits_2_naming_dx(tmp_path, capsys, argv, me
     out = tmp_path / "o"
     assert run(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("dx", ["0.0007", "0.3"])
+def test_exact_solve_refuses_a_dx_that_does_not_divide_1_before_iterating(tmp_path, capsys, monkeypatch, dx):
+    # these once ran all four exact updates, then exited 2 with
+    # "x = -1.0 is not a grid node", which names neither dx nor the flag
+    def no_updates(*args, **kwargs):
+        raise AssertionError("iterated before refusing dx")
+
+    monkeypatch.setattr(solver, "iterations", no_updates)
+    out = tmp_path / "o"
+    assert run(["solve", "--mode", "exact", "--dx", dx, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: dx must divide 1 so that 0 and +-1 are grid nodes\n"
     assert os.listdir(out) == []
 
 

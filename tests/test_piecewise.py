@@ -293,8 +293,8 @@ def window_cases(rng, s0, s1, cuts):
 
 
 class TestWindowedConvolution:
-    """f.convolve(g, lo, hi) is f * g restricted to [lo, hi], built from
-    the window alone."""
+    """f.convolve(g, ..., lo=lo, hi=hi) is the product restricted to
+    [lo, hi], built from the window alone."""
 
     def test_matches_restricted_product(self, rng, trials):
         far = Fraction(1000)
@@ -306,33 +306,58 @@ class TestWindowedConvolution:
                 cuts = sorted({a + b for a in f.breakpoints for b in h.breakpoints})
                 for lo, hi in window_cases(rng, s0, s1, cuts):
                     want = restrict(full, -far if lo is None else lo, far if hi is None else hi)
-                    assert f.convolve(h, lo, hi) == want, (f, h, lo, hi)
+                    assert f.convolve(h, lo=lo, hi=hi) == want, (f, h, lo, hi)
+
+    def test_k_factors_match_the_chain_of_pairs(self, rng, trials):
+        far = Fraction(1000)
+        for _ in range(trials):
+            factors = []
+            while any(q.is_zero() for q in factors) or len({q.support[0] for q in factors}) < 3:
+                factors = [rand_piecewise(rng, 3) for _ in range(3)]  # uneven: the leftmost cuts differ
+            f, g, h = factors
+            for k in (h, f):  # k is f: one jump form for two factors
+                full = f.convolve(g).convolve(k)
+                s0, s1 = (sum(ends) for ends in zip(f.support, g.support, k.support))
+                cuts = sorted({a + b + c for a in f.breakpoints for b in g.breakpoints for c in k.breakpoints})
+                for lo, hi in window_cases(rng, s0, s1, cuts):
+                    want = restrict(full, -far if lo is None else lo, far if hi is None else hi)
+                    assert f.convolve(g, k, lo=lo, hi=hi) == want, (f, g, k, lo, hi)
+
+    def test_k_factors_need_one_and_vanish_with_a_zero_one(self):
+        f, g, zero = indicator(), indicator(0, 3, 2), PiecewisePoly.zero()
+        with pytest.raises(TypeError):
+            f.convolve()
+        for factors in ((zero, f, g), (f, zero, g), (f, g, zero), (f, f, zero)):
+            assert factors[0].convolve(*factors[1:]) == zero
+            assert factors[0].convolve(*factors[1:], lo=-1, hi=1) == zero
 
     def test_empty_window_raises(self):
         for lo, hi in ((1, 1), (Fraction(1, 2), 0)):
             with pytest.raises(ValueError, match=rf"empty window \[{lo}, {hi}\]"):
-                indicator().convolve(indicator(), lo, hi)
+                indicator().convolve(indicator(), lo=lo, hi=hi)
 
     def test_window_missing_the_support_is_zero(self):
         # indicator * indicator lives on [-2, 2]
         for lo, hi in ((-5, -3), (-3, -2), (2, 3), (Fraction(7, 3), 5)):
-            assert indicator().convolve(indicator(), lo, hi) == PiecewisePoly.zero()
+            assert indicator().convolve(indicator(), lo=lo, hi=hi) == PiecewisePoly.zero()
 
     def test_one_shift_per_breakpoint_and_cut_below_hi(self, shifts):
         tent = indicator().convolve(indicator())
         for f in exact_iterates() + (tent,):
             bps = f.breakpoints
             shifts[0] = 0
-            f.convolve(f, -1, 1)
+            f.convolve(f, lo=-1, hi=1)
             assert shifts[0] == len(bps) + len({a + b for a in bps for b in bps if a + b < 1})
 
     def test_exact_kernel_is_one_piece_on_the_unit_interval(self, shifts):
         for f in exact_iterates()[1:]:
             shifts[0] = 0
             K = _kernel_of(f, 2, 2.0)
-            # f * f: 2 jump shifts, cuts -2 and 0; (f * f) * f on [-1, 1]:
-            # 3 + 2 jump shifts, cuts -3 and -1
-            assert shifts[0] == 11
+            # f * f * f on [-1, 1], one chain: f's jumps once, 2 shifts (its
+            # cuts -1 and 1); f * f keeps the cuts s with s - 1 < 1, -2 and 0,
+            # and the product's cuts below hi = 1, -3 and -1, take one output
+            # shift each: 4 in all, where the chain of pairs took 11
+            assert shifts[0] == 4
             assert K.breakpoints == (-1, 1) and len(K.pieces) == 1
             assert K == restrict(f.convolution_power(3), -1, 1)
 
@@ -366,7 +391,7 @@ class TestConvolutionPower:
 
     def test_kernel_is_the_windowed_triple(self):
         for f in exact_iterates():
-            assert _kernel_of(f, 2, 2.0) == f.convolve(f).convolve(f, -1, 1)
+            assert _kernel_of(f, 2, 2.0) == f.convolve(f).convolve(f, lo=-1, hi=1)
 
 
 class TestConvolutionPowerAt:
