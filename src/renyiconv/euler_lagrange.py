@@ -194,13 +194,11 @@ def estimate_x6_grid(dx: float = 1e-4) -> float:
     with step X6_STENCIL_STEP (a multiple of dx, wide enough that the h^6
     in the denominator does not amplify rounding noise).
     """
-    if not dx > 0:
-        raise ValueError("dx must be positive")
+    gs = _grid.sample(exact_gengauss_p2(Fraction(1))[1], dx)  # checks dx first
     ratio = X6_STENCIL_STEP / dx
     k = round(ratio)
     if abs(ratio - k) > 1e-9 or k < 1:
         raise ValueError(f"dx must divide the stencil step {X6_STENCIL_STEP}")
-    gs = _grid.sample(exact_gengauss_p2(Fraction(1))[1], dx)
     # the chain of power-of-two pairs: the benchmark reference pins this
     # estimate to 1e-9, and the 5-smooth C_3 would move it by 2.2e-8 relative
     K = _grid.convolve_grid(_grid.convolve_grid(gs, gs), gs)

@@ -6,7 +6,8 @@ convolution, powers, norms and reflection for general real exponents
 tests/instruments.py).  Integrals are plain
 rectangle-rule sums dx * sum(values), which makes the discrete mass of a
 convolution factor exactly and keeps the solver's discrete identities
-clean.
+clean.  Every grid on [-1, 1] (the grid iterates, and the samples of an
+exact density there) is laid out and checked by one function, unit_nodes.
 """
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -73,10 +73,6 @@ def _lattice_index(x: float, x0: float, dx: float, size: int) -> int:
 
 class MismatchedSpacing(ValueError):
     """Raised when an operation combines grids with different spacing."""
-
-
-class AsymmetricGrid(ValueError):
-    """Raised when an operation requires a grid symmetric about 0."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,30 +179,32 @@ class GridFunction:
         return GridFunction(lam * self.x0, lam * self.dx, self.values)
 
 
-def symmetric_grid(values: Sequence[float], dx: float) -> GridFunction:
-    """Grid symmetric about 0: odd node count, x0 = -(n-1)/2 * dx."""
-    vals = np.asarray(values, dtype=float)
-    if vals.size % 2 == 0:
-        raise AsymmetricGrid("symmetric grid needs an odd number of nodes")
-    return GridFunction(-(vals.size - 1) / 2 * dx, dx, vals)
+def unit_nodes(dx: float) -> np.ndarray:
+    """The nodes -1 + k*dx, k = 0..2/dx, of [-1, 1], where every grid on
+    [-1, 1] lives.  Raises ValueError unless dx > 0, the nodes number at
+    most MAX_GRID_NODES (checked before any is made) and dx divides 1, so
+    that 0 and +-1 are nodes."""
+    if not dx > 0:
+        raise ValueError("dx must be positive")
+    steps = round(min(1.0 / dx, MAX_GRID_NODES))  # min: round of inf raises
+    if 2 * steps + 1 > MAX_GRID_NODES:
+        raise ValueError(f"dx = {dx} needs more than {MAX_GRID_NODES} grid nodes on [-1, 1]")
+    if not abs(steps * dx - 1.0) <= 1e-9:  # NaN (dx = inf) fails too
+        raise ValueError("dx must divide 1 so that 0 and +-1 are grid nodes")
+    return -1.0 + np.arange(2 * steps + 1) * dx
 
 
 def sample(f: PiecewisePoly, dx: float) -> GridFunction:
-    """Sample f at the float nodes x_k = lo + k*dx covering its support,
-    lo = float(support start).
+    """f at unit_nodes(dx), for f supported in [-1, 1] (ValueError
+    otherwise).
 
     Each value is the correctly rounded float of f's exact value at the
-    node x_k itself (a float is an exact dyadic rational), from the float
-    route of PiecewisePoly.sample_lattice.  More than MAX_GRID_NODES nodes
-    raise ValueError before any is made.
+    node itself (a float is an exact dyadic rational), from the float
+    route of PiecewisePoly.sample_lattice.
     """
-    if not 0 < dx < math.inf:
-        raise ValueError(f"dx must be positive and finite, got {dx}")
-    lo, hi = float(f.support[0]), float(f.support[1])
-    n = max(2, math.ceil(min((hi - lo) / dx - 1e-9, MAX_GRID_NODES)) + 1)  # min: ceil of inf raises
-    if n > MAX_GRID_NODES:
-        raise ValueError(f"sampling [{lo}, {hi}] at dx = {dx} needs more than {MAX_GRID_NODES} grid nodes")
-    return GridFunction(lo, dx, f.sample_lattice(lo + np.arange(n) * dx))
+    if f.support[0] < -1 or f.support[1] > 1:
+        raise ValueError("grid.sample takes a density supported in [-1, 1]")
+    return GridFunction(-1.0, dx, f.sample_lattice(unit_nodes(dx)))
 
 
 def _check_spacing(f: GridFunction, g: GridFunction) -> float:

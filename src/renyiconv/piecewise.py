@@ -114,20 +114,6 @@ class Polynomial:
             object.__setattr__(self, "_ints", ([c.numerator * (den // c.denominator) for c in self.coeffs], den))
         return self._ints
 
-    def _lattice_form(self, den: int) -> tuple[list[int], int, bool]:
-        """(terms, divisor, even): p(m / den) is the Horner value of terms
-        (highest degree first) at m, or at m^2 when even, over divisor.
-
-        Coefficient k = n_k / c becomes n_k den^(d-k) over c den^d; with
-        every odd coefficient zero, only the even terms are kept."""
-        if not self.coeffs:
-            return [], 1, False
-        nums, cden = self._integers()
-        d = len(nums) - 1
-        even = not any(nums[1::2])
-        ks = range(d, -1, -2 if even else -1)
-        return [nums[k] * den ** (d - k) for k in ks], cden * den ** d, even
-
     def _double_words(self, bound: Fraction):
         """(hi, lo, even, big) for _dw_horner at |x| <= bound: c = hi + lo, highest
         degree first (in y = x^2 if every odd c is 0), and big = max(1, sum |hi|)
@@ -232,11 +218,9 @@ def _horner(terms: list[int], x: int) -> int:
     return acc
 
 
-def _exact_value(form: tuple[list[int], int, bool], m: int) -> float:
-    """The float of a piece at m / den, from its _lattice_form(den): the
-    exact Horner sum over the divisor, one correctly rounded division."""
-    terms, divisor, even = form
-    return _horner(terms, m * m if even else m) / divisor
+def _exact_float(piece: Polynomial, x: Fraction) -> float:
+    """float(piece(x)): a Fraction's float is one int / int division, correctly rounded."""
+    return float(piece(x))
 
 
 def _split(a):
@@ -475,15 +459,12 @@ class PiecewisePoly:
         den < 2^53, xh = RN(m / den) and xl the float of (m - xh den) / den,
         whose numerator TwoProduct makes exactly.  _dw_horner runs a piece's
         _double_words at up to 2^12 nodes at once and proves each rounding;
-        the rest take _exact_value, the integer Horner over _lattice_form(den)
-        divided once, which CPython rounds correctly (a float node is m over
-        the least power of two that serves all nodes).
+        the rest take _exact_float, the piece's exact value rounded once.
         """
         if den is None:
             keys = xh = np.asarray(nodes, dtype=float)
             xl, node = np.zeros_like(xh), Fraction
             decreasing = bool(np.any(xh[1:] < xh[:-1]))
-            den = 1 << 53 - min(int(np.frexp(xh)[1].min(initial=53)), 53)
         else:
             keys = list(nodes)
             decreasing, node = keys != sorted(keys), lambda m: Fraction(m, den)
@@ -499,13 +480,12 @@ class PiecewisePoly:
         for i, piece in enumerate(self.pieces):
             if piece.is_zero() or cuts[i] >= cuts[i + 1]:
                 continue
-            form, exact = piece._double_words(max(-bps[i], bps[i + 1])), None
+            form = piece._double_words(max(-bps[i], bps[i + 1]))
             for a in range(cuts[i], cuts[i + 1], _CHUNK):
                 b = min(a + _CHUNK, cuts[i + 1])
                 ok = _dw_horner(form, xh[a:b], xl[a:b], out[a:b]) if form else np.zeros(b - a, bool)
                 for k in np.flatnonzero(~ok) + a:
-                    exact = exact or piece._lattice_form(den)
-                    out[k] = _exact_value(exact, int(node(keys[k]) * den))
+                    out[k] = _exact_float(piece, node(keys[k]))
         return out
 
     def __eq__(self, other) -> bool:

@@ -18,7 +18,8 @@ kernel T(C_{n-1}(f)) * (C_n(f))^(p-1).  One kernel rule covers every
     4 transforms, C_n and one more product sharing f's one spectrum.
 
 Exact mode runs at (n, p) = (2, 2), where K is C_3, and its final fit
-reads K(0), K(1) as point values of C_3; grid mode runs every (n, p).
+reads K(0), K(1) as point values of C_3; grid mode runs every (n, p) on
+the nodes grid.unit_nodes(dx) of [-1, 1], where exact iterates are sampled.
 Beyond (2, 2) the update is a plausible extension, not an established
 scheme, but no step lowers the dilation-invariant ratio
 I / (mass^((n-1)p) ||f||_p^p) beyond roundoff (tests/test_solver.py).
@@ -29,9 +30,9 @@ returns every outcome (a spent grid budget is converged False).  Both
 lanes run the same code: an exact and a sampled density answer the same
 questions (support, value at a point, C_n on a window), and the only
 lane choices left are the exact lane's (2, 2) guard and its asserting
-nonnegativity where the grid takes the positive part.  No command checks a (2, 2)
-fixed point against the stationarity coefficients; tests/instruments.py
-does.
+nonnegativity where the grid takes the positive part.  No command checks
+a (2, 2) fixed point against the stationarity coefficients;
+tests/instruments.py does.
 """
 from __future__ import annotations
 
@@ -112,22 +113,12 @@ class FixedPointSolution:
     clip_was_active: bool = False
 
 
-def _unit_steps(dx: float) -> int:
-    """Steps of dx in [0, 1]; raises ValueError past the node limit or unless dx divides 1."""
-    steps = round(min(1.0 / dx, _grid.MAX_GRID_NODES))  # min: round of inf raises
-    if 2 * steps + 1 > _grid.MAX_GRID_NODES:  # refused before anything is allocated
-        raise ValueError(f"dx = {dx} needs more than {_grid.MAX_GRID_NODES} grid nodes on [-1, 1]")
-    if not abs(steps * dx - 1.0) <= 1e-9:  # NaN (dx = inf) fails too
-        raise ValueError("dx must divide 1 so that 0 and +-1 are grid nodes")
-    return steps
-
-
 def initial_iterate(config: SolverConfig) -> Density:
     """f_0 = indicator of [-1, 1], exact or sampled."""
     f0 = PiecewisePoly.indicator(-1, 1)
     if config.mode == "exact":
         return f0
-    return _grid.symmetric_grid(np.ones(2 * _unit_steps(config.dx) + 1), config.dx)
+    return GridFunction(-1.0, config.dx, np.ones_like(_grid.unit_nodes(config.dx)))
 
 
 def _kernel_of(f: Density, n: int, p: float) -> Density:
@@ -144,19 +135,29 @@ def _kernel_of(f: Density, n: int, p: float) -> Density:
     return stationarity_kernel(f, n, p)
 
 
+def _on_unit_nodes(f: GridFunction) -> bool:
+    """Whether f sits on grid.unit_nodes(f.dx), the grid of [-1, 1]."""
+    try:
+        return f.x0 == -1.0 and len(f) == len(_grid.unit_nodes(f.dx))
+    except ValueError:  # dx does not divide 1
+        return False
+
+
 def iterate_once(f: Density, n: int = 2, p: float = 2.0) -> Step:
-    """One fixed-point update; input must be supported in [-1, 1].
+    """One fixed-point update; exact input must be supported in [-1, 1],
+    and grid input must sit on its nodes grid.unit_nodes(dx).
 
     Exact input supports only (n, p) = (2, 2).  There the affine
     renormalization must already be nonnegative: exact mode cannot
     represent the positive part across an irrational zero crossing, so a
     negative dip raises NegativeDensity rather than being clipped.
     """
-    lo, hi = f.support
-    if lo < -1 - _SUPPORT_SLACK or hi > 1 + _SUPPORT_SLACK:
-        raise ValueError("iterate must be supported in [-1, 1]")
-    K = _kernel_of(f, n, p)
     exact = isinstance(f, PiecewisePoly)
+    if exact and (f.support[0] < -1 - _SUPPORT_SLACK or f.support[1] > 1 + _SUPPORT_SLACK):
+        raise ValueError("iterate must be supported in [-1, 1]")
+    if not exact and not _on_unit_nodes(f):
+        raise ValueError("a grid iterate must sit on the nodes -1 + k*dx of [-1, 1]")
+    K = _kernel_of(f, n, p)
     if not exact:
         # fold K even, so every grid iterate is even and T f = f holds
         K = K.with_values(0.5 * (K.values + K.values[::-1]))
@@ -223,9 +224,7 @@ def run_fixed_point(config: SolverConfig) -> FixedPointSolution:
         return _grid.sample(g, config.dx) if exact else g
 
     f = initial_iterate(config)
-    fs = sample(f)
-    if exact:  # after sample's own dx checks; the residual reads the grid at +-1
-        _unit_steps(config.dx)
+    fs = sample(f)  # the exact lane's dx is checked here, before any update
     max_iter = config.resolved_max_iter()
     records = []
     converged = exact or max_iter == 0

@@ -26,9 +26,13 @@ import numpy as np
 
 from renyiconv import grid
 from renyiconv.entropy import ConstraintSet, GeneralizedGaussian, objective_I, scale_to_feasible
-from renyiconv.grid import AsymmetricGrid, GridFunction
+from renyiconv.grid import GridFunction
 from renyiconv.piecewise import PiecewisePoly, RationalLike, as_fraction
 from renyiconv.solver import FixedPointSolution
+
+
+class AsymmetricGrid(ValueError):
+    """Raised when an operation requires a grid symmetric about 0."""
 
 
 class YoungCheck(NamedTuple):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import renyiconv
-from renyiconv import cli, solver
+from renyiconv import cli, grid, solver
 from renyiconv.grid import read_csv
 from renyiconv.solver import SolverConfig, initial_iterate, iterate_once
 
@@ -117,7 +117,7 @@ def test_invalid_flag_values_exit_2(tmp_path, argv):
     (["solve", "--dx", "inf"], "dx must divide 1 so that 0 and +-1 are grid nodes"),
     (["compare", "--dx", "inf"], "dx must divide 1 so that 0 and +-1 are grid nodes"),
     (["iterate", "--mode", "grid", "--dx", "inf"], "dx must divide 1 so that 0 and +-1 are grid nodes"),
-    (["solve", "--mode", "exact", "--dx", "inf"], "dx must be positive and finite, got inf"),
+    (["solve", "--mode", "exact", "--dx", "inf"], "dx must divide 1 so that 0 and +-1 are grid nodes"),
 ], ids=" ".join)
 def test_infinite_p_or_dx_exits_2_naming_it(tmp_path, capsys, argv, message):
     # gengauss --p inf once wrote NaN for lp_mass and renyi_entropy and exited 0
@@ -135,11 +135,9 @@ GRID_LIMIT = "16777216 grid nodes"
     (["iterate", "--mode", "grid", "--dx", "1e-12"], f"dx = 1e-12 needs more than {GRID_LIMIT} on [-1, 1]"),
     (["compare", "--dx", "1e-12"], f"dx = 1e-12 needs more than {GRID_LIMIT} on [-1, 1]"),
     (["solve", "--mode", "grid", "--dx", "5e-324"], f"dx = 5e-324 needs more than {GRID_LIMIT} on [-1, 1]"),
-    (["solve", "--mode", "exact", "--dx", "1e-12"], f"sampling [-1.0, 1.0] at dx = 1e-12 needs more than {GRID_LIMIT}"),
-    (["counterexample", "--grid-check", "--dx", "1e-12"],
-     f"sampling [-1.0, 1.0] at dx = 1e-12 needs more than {GRID_LIMIT}"),
-    (["counterexample", "--grid-check", "--dx", "1e-300"],
-     f"sampling [-1.0, 1.0] at dx = 1e-300 needs more than {GRID_LIMIT}"),
+    (["solve", "--mode", "exact", "--dx", "1e-12"], f"dx = 1e-12 needs more than {GRID_LIMIT} on [-1, 1]"),
+    (["counterexample", "--grid-check", "--dx", "1e-12"], f"dx = 1e-12 needs more than {GRID_LIMIT} on [-1, 1]"),
+    (["counterexample", "--grid-check", "--dx", "1e-300"], f"dx = 1e-300 needs more than {GRID_LIMIT} on [-1, 1]"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
 def test_grid_beyond_the_node_limit_exits_2_naming_dx(tmp_path, capsys, argv, message):
     # these once ended in numpy's _ArrayMemoryError, or its bare
@@ -148,6 +146,22 @@ def test_grid_beyond_the_node_limit_exits_2_naming_dx(tmp_path, capsys, argv, me
     assert run(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("dx", ["inf", "0.0007", "1e-12", "5e-324", "1e-300"])
+def test_a_bad_dx_gets_one_message_in_every_lane(tmp_path, capsys, dx):
+    # grid.unit_nodes lays out and checks [-1, 1] for every lane; the
+    # exact solve and --grid-check once spelled these their own way, and
+    # --grid-check --dx 5e-324 ended in an OverflowError traceback
+    with pytest.raises(ValueError) as exc:
+        grid.unit_nodes(float(dx))
+    lanes = (["solve", "--mode", "grid"], ["solve", "--mode", "exact"], ["iterate", "--mode", "grid"],
+             ["compare"], ["counterexample", "--grid-check"])
+    for k, argv in enumerate(lanes):
+        out = tmp_path / str(k)
+        assert run(argv + ["--dx", dx, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
+        assert os.listdir(out) == []
 
 
 @pytest.mark.parametrize("dx", ["0.0007", "0.3"])

@@ -193,8 +193,11 @@ class TestCounterexample:
         assert estimate_x6_grid(1e-4) == -0.014056640730410026
 
     def test_grid_cross_check_rejects_misaligned_step(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^dx must divide 1"):
             estimate_x6_grid(dx=0.03)
+        for dx in (0.1, 0.25, 1 / 3):  # nodes of [-1, 1], but no multiple of them is 0.05
+            with pytest.raises(ValueError, match="^dx must divide the stencil step 0.05$"):
+                estimate_x6_grid(dx=dx)
 
 
 class TestYoung:

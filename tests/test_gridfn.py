@@ -11,7 +11,6 @@ import pytest
 from instruments import pair_chain, rearrange_symmetric_decreasing
 from renyiconv.cli import PLOT_XS, _write_plot_csv
 from renyiconv.grid import (
-    AsymmetricGrid,
     GridFunction,
     MismatchedSpacing,
     _smooth_length,
@@ -21,7 +20,7 @@ from renyiconv.grid import (
     read_csv,
     reflect,
     sample,
-    symmetric_grid,
+    unit_nodes,
 )
 from renyiconv.piecewise import PiecewisePoly, Polynomial
 
@@ -63,12 +62,6 @@ class TestGridFunction:
         assert d.dx == 1.0
         assert d.mass == pytest.approx(2.0 * g.mass)
 
-    def test_symmetric_grid_requires_odd_count(self):
-        with pytest.raises(AsymmetricGrid):
-            symmetric_grid(np.ones(4), 0.1)
-        g = symmetric_grid(np.ones(5), 0.1)
-        assert g.x0 == pytest.approx(-0.2)
-
 
 class TestSampling:
     def test_sample_hits_exact_values(self):
@@ -81,6 +74,41 @@ class TestSampling:
         f = PiecewisePoly.single(Polynomial([1, 0, -1]), -1, 1)
         g = sample(f, 1e-3)
         assert g.mass == pytest.approx(float(f.mass), rel=1e-6)
+
+    @pytest.mark.parametrize("dx", [0.5, 0.25, 0.125, 0.01, 1 / 64, 1e-3])
+    def test_sample_is_f_at_the_unit_nodes(self, dx):
+        # supported in [-1/2, 1], so zero at the nodes below -1/2
+        f = PiecewisePoly.single(Polynomial([1, Fraction(1, 3), Fraction(-1, 7)]), Fraction(-1, 2), 1)
+        g, xs = sample(f, dx), unit_nodes(dx)
+        assert (g.x0, g.dx) == (-1.0, dx)
+        assert np.array_equal(g.nodes, xs)
+        assert g.values.tolist() == [float(f.eval(Fraction(x))) for x in xs.tolist()]
+
+    @pytest.mark.parametrize("lo, hi", [(-2, 1), (-1, Fraction(3, 2)), (Fraction(1, 2), 3)])
+    def test_sample_refuses_support_beyond_the_unit_interval(self, lo, hi):
+        with pytest.raises(ValueError, match=r"^grid.sample takes a density supported in \[-1, 1\]$"):
+            sample(PiecewisePoly.indicator(lo, hi), 0.25)
+
+    @pytest.mark.parametrize("dx, n", [(1.0, 3), (0.5, 5), (0.125, 17), (1e-3, 2001), (2e-5, 100001)])
+    def test_unit_nodes_are_minus_one_plus_k_dx(self, dx, n):
+        xs = unit_nodes(dx)
+        assert xs.tolist() == [-1.0 + k * dx for k in range(n)]
+        assert xs[n // 2] == pytest.approx(0.0, abs=1e-12) and xs[-1] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("dx, message", [
+        (0.0, "dx must be positive"),
+        (-0.5, "dx must be positive"),
+        (math.nan, "dx must be positive"),
+        (1e-12, "dx = 1e-12 needs more than 16777216 grid nodes on [-1, 1]"),
+        (5e-324, "dx = 5e-324 needs more than 16777216 grid nodes on [-1, 1]"),
+        (math.inf, "dx must divide 1 so that 0 and +-1 are grid nodes"),
+        (0.3, "dx must divide 1 so that 0 and +-1 are grid nodes"),
+        (0.0007, "dx must divide 1 so that 0 and +-1 are grid nodes"),
+    ])
+    def test_unit_nodes_rules(self, dx, message):
+        # the node limit is checked before a node is made: 2e12 floats at 1e-12
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            unit_nodes(dx)
 
 
 class TestSharedInterface:
@@ -422,7 +450,7 @@ class TestRearrangement:
         assert np.all(np.diff(v[c:]) <= 0)
 
     def test_idempotent_on_sorted_input(self):
-        g = symmetric_grid(np.array([0.1, 0.5, 1.0, 0.5, 0.1]), 0.5)
+        g = GridFunction(-1.0, 0.5, np.array([0.1, 0.5, 1.0, 0.5, 0.1]))
         r = rearrange_symmetric_decreasing(g)
         assert np.allclose(r.values, g.values)
 

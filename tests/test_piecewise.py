@@ -519,8 +519,9 @@ def reference(f, ms, den):
 
 
 class TestSampleLattice:
-    """sample_lattice gives float(f.eval(x)) bit for bit, and so do the
-    two callers, grid.sample and the CLI plot sampler."""
+    """sample_lattice gives float(f.eval(x)) bit for bit, at nodes m / den
+    and at float nodes, and so do the two callers, grid.sample and the
+    CLI plot sampler."""
 
     def test_matches_eval_on_breakpoint_lattices(self, rng, trials):
         for _ in range(trials):
@@ -537,16 +538,16 @@ class TestSampleLattice:
         f = PiecewisePoly([0, Fraction(1, 3), 1], [Polynomial([1]), Polynomial([2])])
         assert list(f.sample_lattice(range(-1, 5), 3)) == [0.0, 1.0, 2.0, 2.0, 2.0, 0.0]
 
-    # the callers build GridFunctions, which hold nonnegative values
     def test_grid_sample_matches_eval_on_float_lattices(self, rng, trials):
         for _ in range(max(1, trials // 4)):
             f = rand_sampled_piecewise(rng).power_int(2)
-            # from a dyadic support start, dyadic steps land on dyadic
-            # breakpoints; 0.01 is not dyadic
+            lo, hi = float(f.support[0]), float(f.support[1])
+            # the float lattice lo + k*dx over f's support: from a dyadic
+            # support start, dyadic steps land on dyadic breakpoints; 0.01
+            # is not dyadic
             for dx in (0.125, 1 / 64, 0.01):
-                g = grid.sample(f, dx)
-                xs = [g.x0 + k * dx for k in range(len(g))]
-                assert g.values.tolist() == [float(f.eval(Fraction(x))) for x in xs]
+                xs = lo + np.arange(ceil((hi - lo) / dx - 1e-9) + 1) * dx
+                assert f.sample_lattice(xs).tolist() == [float(f.eval(Fraction(x))) for x in xs.tolist()]
 
     def test_plot_sampler_matches_eval_on_k_over_1000(self, rng):
         # the sampler takes even densities: an autocorrelation is one
@@ -597,15 +598,19 @@ class TestCertifiedSampling:
 
     @pytest.fixture
     def exact_nodes(self, monkeypatch):
-        """The numerators m of every node that took the exact Horner."""
-        seen, exact = [], piecewise._exact_value
+        """Every node x (a Fraction) that took the exact value."""
+        seen, exact = [], piecewise._exact_float
 
-        def counted(form, m):
-            seen.append(m)
-            return exact(form, m)
+        def counted(piece, x):
+            seen.append(x)
+            return exact(piece, x)
 
-        monkeypatch.setattr(piecewise, "_exact_value", counted)
+        monkeypatch.setattr(piecewise, "_exact_float", counted)
         return seen
+
+    @staticmethod
+    def at(ms, den):
+        return [Fraction(m, den) for m in ms]
 
     def check(self, f, ms, den):
         assert bits(list(f.sample_lattice(ms, den))) == bits(reference(f, ms, den))
@@ -623,14 +628,14 @@ class TestCertifiedSampling:
         ms = [1, 2, 3] if tilt else [-3, 0, 3]
         assert list(f.sample_lattice(ms, 4)) == [want] * 3
         # 2^-250 is below the double-word error bound, so none certifies
-        assert exact_nodes == ms
+        assert exact_nodes == self.at(ms, 4)
         self.check(f, ms, 4)
 
     def test_zeros_at_the_support_ends(self, exact_nodes):
         f = PiecewisePoly.single(Polynomial([1, 0, -1]), -1, 1)
         vals = list(f.sample_lattice(range(-8, 9), 8))
         assert bits([vals[0], vals[-1]]) == bits([0.0, 0.0])
-        assert exact_nodes == [-8, 8]
+        assert exact_nodes == self.at([-8, 8], 8)
         self.check(f, range(-8, 9), 8)
         f4 = exact_iterates()[4]
         g = grid.sample(f4, 1e-3)
@@ -698,7 +703,7 @@ class TestCertifiedSampling:
         c1 = 2**40 + Fraction(1, 2**20) + tilt * Fraction(1, 2**80)
         g = PiecewisePoly.single(Polynomial([v - c1, c1]), 0, 2)
         assert list(g.sample_lattice([4], 4)) == [want]
-        assert exact_nodes == [4]
+        assert exact_nodes == self.at([4], 4)
         self.check(g, [0, 3, 4, 5, 8], 4)
 
     def test_plot_nodes_beyond_the_unit_interval(self, rng, exact_nodes):
@@ -715,7 +720,7 @@ class TestCertifiedSampling:
         f = PiecewisePoly.single(Polynomial([c, 0, -c / 3]), -1, 1)
         ms = range(-8, 9)
         self.check(f, ms, 8)
-        assert exact_nodes == ([] if certified else list(ms))
+        assert exact_nodes == ([] if certified else self.at(ms, 8))
 
     @pytest.mark.parametrize("a, b, k", [(310, 79, 265), (32, 935, 7), (913, 15, 255)])
     def test_low_words_that_underflow(self, a, b, k):
@@ -748,10 +753,10 @@ class TestCertifiedSampling:
     def test_grid_nodes_are_lo_plus_k_dx(self, lo, dx):
         # x^2 is strictly monotone on each side of 0, so a moved node shows
         f = PiecewisePoly.single(Polynomial([0, 0, 1]), Fraction(lo), Fraction(lo) + 3)
-        g = grid.sample(f, dx)
-        xs = [lo + k * dx for k in range(len(g))]
-        assert bits(g.values) == bits([float(f.eval(Fraction(x))) for x in xs])
-        assert g.values[0] == lo * lo
+        xs = lo + np.arange(ceil(3 / dx - 1e-9) + 1) * dx
+        vals = f.sample_lattice(xs)
+        assert bits(vals) == bits([float(f.eval(Fraction(x))) for x in xs.tolist()])
+        assert vals[0] == lo * lo
 
 
 class TestSerialization:

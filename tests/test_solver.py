@@ -248,6 +248,18 @@ class TestGridIteration:
         assert rfft_lengths == [L, L]
         assert irfft_lengths == [L, L]
 
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("f", [
+        GridFunction(-0.5, 0.01, np.ones(101)),    # inside [-1, 1]: +-1 are not nodes
+        GridFunction(-0.995, 0.01, np.ones(200)),  # shifted by half a step
+        GridFunction(-1.0, 0.01, np.ones(200)),    # one node short of 1
+        GridFunction(-1.5, 0.5, np.ones(7)),       # beyond [-1, 1]
+        GridFunction(-1.0, 0.3, np.ones(7)),       # dx does not divide 1
+    ], ids=["inside", "shifted", "short", "wide", "dx"])
+    def test_update_refuses_a_grid_off_the_unit_nodes(self, f, p):
+        with pytest.raises(ValueError, match=r"^a grid iterate must sit on the nodes -1 \+ k\*dx of \[-1, 1\]$"):
+            iterate_once(f, 2, p)
+
     def test_step_difference_needs_one_node_set(self):
         f = initial_iterate(SolverConfig(mode="grid", dx=1e-2))
         g = iterate_once(f).f
