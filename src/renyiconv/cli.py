@@ -50,7 +50,8 @@ from .piecewise import PiecewisePoly, format_rational
 from .solver import FixedPointSolution, SolverConfig, initial_iterate, iterations, run_fixed_point
 
 PLOT_NODES = 2001  # samples on [-1, 1] for plot CSVs
-PLOT_XS = np.linspace(-1.0, 1.0, PLOT_NODES)
+_PLOT_DEN = (PLOT_NODES - 1) // 2  # the plot nodes are k / _PLOT_DEN
+PLOT_XS = _grid.unit_nodes(1.0 / _PLOT_DEN)
 # floor on grid nodes per half-width of the generalized Gaussian in compare
 GENGAUSS_HALF_NODES = 1000
 
@@ -124,14 +125,8 @@ class _OutDir:
 
 def _sample_exact_on_unit(f: PiecewisePoly) -> GridFunction:
     """f at the rational plot nodes k/1000, k = -1000..1000, each the
-    correctly rounded float of the exact value.  f must be even, as every
-    exact iterate is (ValueError otherwise): the nodes k >= 0 are
-    evaluated and mirrored, and one value rounds to one float."""
-    if not f.is_even():
-        raise ValueError("the plot sampler takes an even density")
-    half = (PLOT_NODES - 1) // 2
-    right = f.sample_lattice(range(half + 1), half)
-    return GridFunction(-1.0, 1.0 / half, np.concatenate([right[:0:-1], right]))
+    correctly rounded float of the exact value."""
+    return GridFunction(-1.0, 1.0 / _PLOT_DEN, f.sample_lattice(range(-_PLOT_DEN, _PLOT_DEN + 1), _PLOT_DEN))
 
 
 def _sample_grid_on_unit(g: GridFunction) -> np.ndarray:
@@ -157,7 +152,9 @@ def cmd_iterate(args: argparse.Namespace, out: _OutDir) -> int:
     if args.steps < 0:
         raise ValueError("--steps must be nonnegative")
     exact = args.mode == "exact"
-    f = initial_iterate(SolverConfig(mode="exact") if exact else SolverConfig(mode="grid", dx=args.dx))
+    # --steps k builds C_3 of f0 .. f(k-1), as solve --max-iter k-1 does
+    f = initial_iterate(SolverConfig(mode="exact", max_iter=max(args.steps - 1, 0)) if exact
+                        else SolverConfig(mode="grid", dx=args.dx))
     # exact iterates are compared and plotted at the rational plot nodes;
     # grid iterates are compared node by node and interpolated for the plot
     sample = _sample_exact_on_unit if exact else (lambda g: g)

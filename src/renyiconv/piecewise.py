@@ -415,24 +415,6 @@ class PiecewisePoly:
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.pieces)
 
-    def is_even(self) -> bool:
-        """Whether f(-x) = f(x) for every x, read off the coefficients.
-
-        The breakpoints mirror through 0 and each piece is its partner
-        with odd coefficients negated.  Pieces are half open, so f(b) at
-        an interior breakpoint b > 0 comes from the right piece and f(-b)
-        from the mirror of the left one: the two must agree at b.
-        """
-        if self.is_zero():
-            return True
-        bps, pcs = self.breakpoints, self.pieces
-        return (
-            all(b == -c for b, c in zip(bps, reversed(bps)))
-            and all(p.coeffs == tuple(-c if k % 2 else c for k, c in enumerate(q.coeffs))
-                    for p, q in zip(pcs, reversed(pcs)))
-            and all(left(b) == right(b) for b, left, right in zip(bps[1:-1], pcs, pcs[1:]) if b > 0)
-        )
-
     def intervals(self) -> Iterator[tuple[Fraction, Fraction, Polynomial]]:
         for i, p in enumerate(self.pieces):
             yield self.breakpoints[i], self.breakpoints[i + 1], p

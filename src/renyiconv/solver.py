@@ -48,7 +48,9 @@ from .euler_lagrange import stationarity_kernel
 from .grid import GridFunction
 from .piecewise import PiecewisePoly
 
-_SUPPORT_SLACK = 1e-9
+# the last iterate f_k (degree 3^k - 1) whose C_3 an exact run builds:
+# C_3 of f6, of degree 728, takes minutes
+_EXACT_LAST_KERNEL = 5
 
 
 class DegenerateNormalizer(ArithmeticError):
@@ -78,6 +80,11 @@ class SolverConfig:
             raise ValueError("max_iter must be >= 0")
         if self.mode == "exact" and (self.n, self.p) != (2, 2):
             raise ValueError("exact mode supports only n = 2, p = 2")
+        # an exact run reads C_3 of f_0 .. f_max_iter, the last in the final fit
+        k = self.resolved_max_iter()
+        if self.mode == "exact" and k > _EXACT_LAST_KERNEL:
+            raise ValueError(f"exact runs build C_3 of f0 .. f{_EXACT_LAST_KERNEL} only, "
+                             f"not of f{k}, of degree 3^{k} - 1 = {3 ** k - 1}")
 
     def resolved_max_iter(self) -> int:
         if self.max_iter is not None:
@@ -153,7 +160,7 @@ def iterate_once(f: Density, n: int = 2, p: float = 2.0) -> Step:
     negative dip raises NegativeDensity rather than being clipped.
     """
     exact = isinstance(f, PiecewisePoly)
-    if exact and (f.support[0] < -1 - _SUPPORT_SLACK or f.support[1] > 1 + _SUPPORT_SLACK):
+    if exact and (f.support[0] < -1 or f.support[1] > 1):
         raise ValueError("iterate must be supported in [-1, 1]")
     if not exact and not _on_unit_nodes(f):
         raise ValueError("a grid iterate must sit on the nodes -1 + k*dx of [-1, 1]")

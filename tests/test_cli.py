@@ -26,6 +26,11 @@ def run_process(argv):
                           capture_output=True, text=True, env=env, timeout=120)
 
 
+def argv_id(value):
+    """A case's test id: its argv joined, never its expected message."""
+    return " ".join(value) if isinstance(value, list) else ""
+
+
 def load(path):
     with open(path) as fh:
         return json.load(fh)
@@ -118,7 +123,7 @@ def test_invalid_flag_values_exit_2(tmp_path, argv):
     (["compare", "--dx", "inf"], "dx must divide 1 so that 0 and +-1 are grid nodes"),
     (["iterate", "--mode", "grid", "--dx", "inf"], "dx must divide 1 so that 0 and +-1 are grid nodes"),
     (["solve", "--mode", "exact", "--dx", "inf"], "dx must divide 1 so that 0 and +-1 are grid nodes"),
-], ids=" ".join)
+], ids=argv_id)
 def test_infinite_p_or_dx_exits_2_naming_it(tmp_path, capsys, argv, message):
     # gengauss --p inf once wrote NaN for lp_mass and renyi_entropy and exited 0
     out = tmp_path / "o"
@@ -138,7 +143,7 @@ GRID_LIMIT = "16777216 grid nodes"
     (["solve", "--mode", "exact", "--dx", "1e-12"], f"dx = 1e-12 needs more than {GRID_LIMIT} on [-1, 1]"),
     (["counterexample", "--grid-check", "--dx", "1e-12"], f"dx = 1e-12 needs more than {GRID_LIMIT} on [-1, 1]"),
     (["counterexample", "--grid-check", "--dx", "1e-300"], f"dx = 1e-300 needs more than {GRID_LIMIT} on [-1, 1]"),
-], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+], ids=argv_id)
 def test_grid_beyond_the_node_limit_exits_2_naming_dx(tmp_path, capsys, argv, message):
     # these once ended in numpy's _ArrayMemoryError, or its bare
     # "Maximum allowed size exceeded", with exit 1
@@ -146,6 +151,25 @@ def test_grid_beyond_the_node_limit_exits_2_naming_dx(tmp_path, capsys, argv, me
     assert run(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--mode", "exact", "--max-iter", "6"],
+    ["iterate", "--mode", "exact", "--steps", "7"],
+], ids=" ".join)
+def test_an_exact_budget_past_f5_exits_2_naming_the_degree(tmp_path, capsys, argv):
+    # solve --max-iter 6 reads C_3 of f6 in its final fit, and iterate
+    # --steps 7 builds it for f7: both once ran for minutes
+    out = tmp_path / "o"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: exact runs build C_3 of f0 .. f5 only, not of f6, of degree 3^6 - 1 = 728\n"
+    assert os.listdir(out) == []
+
+
+def test_iterate_steps_6_is_within_the_exact_budget(tmp_path, monkeypatch):
+    # f6 needs C_3 of f5 only; the updates themselves are left out here
+    monkeypatch.setattr(cli, "iterations", lambda *args: iter(()))
+    assert run(["iterate", "--mode", "exact", "--steps", "6", "--out", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize("dx", ["inf", "0.0007", "1e-12", "5e-324", "1e-300"])

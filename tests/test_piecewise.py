@@ -450,39 +450,18 @@ def evenness_oracle(f):
 
 class TestEvenness:
     def test_exact_iterates_are_even(self):
-        assert all(f.is_even() for f in exact_iterates())
-
-    def test_translated_or_asymmetric_is_not_even(self):
-        f4 = exact_iterates()[4]
-        assert not translate(f4, Fraction(1, 3)).is_even()
-        assert not indicator(-1, 2).is_even()
-        assert not PiecewisePoly.single(Polynomial([HALF, HALF]), -1, 1).is_even()
-        # mirrored pieces with a jump at +-1: f(1) = 1 but f(-1) = 2
-        stairs = PiecewisePoly([-2, -1, 1, 2], [Polynomial([1]), Polynomial([2]), Polynomial([1])])
-        assert not stairs.is_even()
-
-    def test_even_shapes(self):
-        assert PiecewisePoly.zero().is_even()
-        assert indicator().convolve(indicator()).is_even()
-
-    def test_matches_pointwise_definition(self, rng, trials):
-        # pieces of f + T(f) always mirror, so its breakpoint values decide;
-        # an autocorrelation is even and continuous
-        for _ in range(max(1, trials // 4)):
-            f = rand_piecewise(rng)
-            for h in (f + reflect(f), f.convolve(reflect(f))):
-                assert h.is_even() == evenness_oracle(h)
-            assert f.convolve(reflect(f)).is_even()
+        assert all(evenness_oracle(f) for f in exact_iterates())
 
     def test_plot_sampler_mirrors_the_full_walk(self):
         for f in exact_iterates():
             full = list(f.sample_lattice(range(-1000, 1001), 1000))
             assert cli._sample_exact_on_unit(f).values.tolist() == full
 
-    def test_plot_sampler_refuses_an_uneven_density(self):
+    def test_plot_sampler_takes_an_uneven_density(self):
+        ks = range(-1000, 1001)
         for f in (indicator(-1, 2), translate(exact_iterates()[2], Fraction(1, 5))):
-            with pytest.raises(ValueError, match="even"):
-                cli._sample_exact_on_unit(f)
+            assert not evenness_oracle(f)
+            assert cli._sample_exact_on_unit(f).values.tolist() == reference(f, ks, 1000)
 
 
 def rand_sampled_piecewise(rng):
@@ -550,9 +529,7 @@ class TestSampleLattice:
                 assert f.sample_lattice(xs).tolist() == [float(f.eval(Fraction(x))) for x in xs.tolist()]
 
     def test_plot_sampler_matches_eval_on_k_over_1000(self, rng):
-        # the sampler takes even densities: an autocorrelation is one
-        g = rand_sampled_piecewise(rng).power_int(2)
-        f = g.convolve(reflect(g)).dilate(Fraction(1, 3))
+        f = rand_sampled_piecewise(rng).power_int(2).dilate(Fraction(1, 3))
         ks = range(-1000, 1001)
         assert cli._sample_exact_on_unit(f).values.tolist() == reference(f, ks, 1000)
 
@@ -580,7 +557,7 @@ class TestSampleLattice:
         with pytest.raises(OverflowError):
             grid.sample(f, 0.5)
         with pytest.raises(OverflowError):
-            cli._sample_exact_on_unit(f.power_int(2))  # even in every case
+            cli._sample_exact_on_unit(f)
 
     def test_rejects_decreasing_nodes(self):
         with pytest.raises(ValueError):

@@ -69,6 +69,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="^dx must divide 1 so that 0 and"):
             initial_iterate(SolverConfig(mode="grid", dx=math.inf))
 
+    def test_exact_budget_ends_at_the_kernel_of_f5(self):
+        SolverConfig(mode="exact", max_iter=5)
+        for k in (6, 7):
+            with pytest.raises(ValueError, match=rf"^exact runs build C_3 of f0 \.\. f5 only, not of f{k}, "
+                                                 rf"of degree 3\^{k} - 1 = {3 ** k - 1}$"):
+                SolverConfig(mode="exact", max_iter=k)
+        SolverConfig(mode="grid", max_iter=6)
+
     def test_resolved_max_iter(self):
         assert SolverConfig(mode="exact").resolved_max_iter() == 4
         assert SolverConfig(mode="grid").resolved_max_iter() == 200
@@ -147,6 +155,17 @@ class TestExactIteration:
         assert g != DEG10
         top = max(piece.degree for _, _, piece in g.intervals())
         assert top == 14
+
+    def test_support_is_compared_exactly(self):
+        # a float slack once let the first of these through, giving a = 1.0000000003
+        eps = Fraction(1, 10**10)
+        for f in (PiecewisePoly.indicator(-1 - eps, 1), PiecewisePoly.indicator(-1, 1 + eps)):
+            with pytest.raises(ValueError, match=r"^iterate must be supported in \[-1, 1\]$"):
+                iterate_once(f)
+            with pytest.raises(ValueError, match=r"supported in \[-1, 1\]$"):
+                sample(f, 1e-3)
+        assert iterate_once(F0).f == F1  # supported exactly on [-1, 1]
+        assert sample(F0, 0.5).values.tolist() == [1.0] * 5
 
     def test_run_exact_solution_fields(self):
         sol = run_fixed_point(SolverConfig(mode="exact", max_iter=2))
