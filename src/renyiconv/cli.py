@@ -49,9 +49,7 @@ from .grid import GridFunction
 from .piecewise import PiecewisePoly, format_rational
 from .solver import FixedPointSolution, SolverConfig, initial_iterate, iterations, run_fixed_point
 
-PLOT_NODES = 2001  # samples on [-1, 1] for plot CSVs
-_PLOT_DEN = (PLOT_NODES - 1) // 2  # the plot nodes are k / _PLOT_DEN
-PLOT_XS = _grid.unit_nodes(1.0 / _PLOT_DEN)
+PLOT_XS = _grid.unit_nodes(1.0 / _grid.PLOT_DEN)  # the plot CSVs' x column
 # floor on grid nodes per half-width of the generalized Gaussian in compare
 GENGAUSS_HALF_NODES = 1000
 
@@ -126,7 +124,7 @@ class _OutDir:
 def _sample_exact_on_unit(f: PiecewisePoly) -> GridFunction:
     """f at the rational plot nodes k/1000, k = -1000..1000, each the
     correctly rounded float of the exact value."""
-    return GridFunction(-1.0, 1.0 / _PLOT_DEN, f.sample_lattice(range(-_PLOT_DEN, _PLOT_DEN + 1), _PLOT_DEN))
+    return GridFunction(-1.0, 1.0 / _grid.PLOT_DEN, f.sample_lattice(_grid.PLOT_NODES, _grid.PLOT_DEN))
 
 
 def _sample_grid_on_unit(g: GridFunction) -> np.ndarray:

@@ -75,10 +75,15 @@ def stationarity_kernel(q: GridFunction, n: int, p: float) -> GridFunction:
 def _kernel_from_cn(q: GridFunction, n: int, p: float, cn: GridFunction, spectra: dict) -> GridFunction:
     """stationarity_kernel from cn = C_n(Q), made with the memo spectra,
     which then holds Q's spectrum for the second product: 1 rfft and 1
-    irfft more."""
-    th = _grid.reflect(_grid.power_real(cn, p - 1.0))
-    del cn  # not held here while the second product runs
-    tk = _grid.convolve_grid(*[q] * (n - 1), th, lo=-q.x_end, hi=-q.x0, spectra=spectra)
+    irfft more.  A p that takes C_n^(p-1), or its product, beyond the
+    float range raises ValueError naming p, before numpy can warn."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            th = _grid.reflect(_grid.power_real(cn, p - 1.0))
+            del cn  # not held here while the second product runs
+            tk = _grid.convolve_grid(*[q] * (n - 1), th, lo=-q.x_end, hi=-q.x0, spectra=spectra)
+    except FloatingPointError:
+        raise ValueError(f"p = {p} takes the stationarity kernel beyond the float range") from None
     return GridFunction(q.x0, q.dx, tk.values[::-1])
 
 
@@ -162,10 +167,10 @@ def counterexample_check() -> CounterexampleReport:
     b = k1
     ls_a, ls_b = _ls_affine_fit(K, g)
 
-    # max of |K - a g - b| over the nodes k/1000 of [-1, 1]; rounding to
+    # max of |K - a g - b| over the plot nodes k/1000 of [-1, 1]; rounding to
     # the nearest float is monotone and odd, so this is float of the exact max
     resid = K - g * a - PiecewisePoly.indicator(-1, 1, b)
-    sup = float(np.abs(resid.sample_lattice(range(-1000, 1001), 1000)).max())
+    sup = float(np.abs(resid.sample_lattice(_grid.PLOT_NODES, _grid.PLOT_DEN)).max())
 
     # triple self convolution of -2 on [-1,1], compared on [-1,1]
     m2 = PiecewisePoly.indicator(-1, 1, -2)

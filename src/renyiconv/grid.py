@@ -3,11 +3,11 @@
 Floating-point companion to the exact piecewise layer: supplies
 convolution, powers, norms and reflection for general real exponents
 (the symmetric decreasing rearrangement is a test instrument, in
-tests/instruments.py).  Integrals are plain
-rectangle-rule sums dx * sum(values), which makes the discrete mass of a
-convolution factor exactly and keeps the solver's discrete identities
-clean.  Every grid on [-1, 1] (the grid iterates, and the samples of an
-exact density there) is laid out and checked by one function, unit_nodes.
+tests/instruments.py).  Integrals are plain rectangle-rule sums
+dx * sum(values), which makes the discrete mass of a convolution factor
+exactly and keeps the solver's discrete identities clean.  Every grid on
+[-1, 1] comes from unit_nodes, and sample reads an exact density at those
+nodes as the integers node * 2^53 over 2^53.
 """
 from __future__ import annotations
 
@@ -29,6 +29,8 @@ _SPACING_RTOL = 1e-12
 CSV_HEADER = "x,value"  # of the plot CSVs, written by the CLI and read by read_csv
 _SUM_BLOCK = 1 << 14  # values per bincount in exact_sum: bucket sums stay below 2^41
 MAX_GRID_NODES = 1 << 24  # most nodes of a grid made from a density, 128 MiB of floats
+PLOT_DEN = 1000  # plot CSVs and the counterexample's residual sample [-1, 1] at k / PLOT_DEN, k in PLOT_NODES
+PLOT_NODES = range(-PLOT_DEN, PLOT_DEN + 1)
 
 
 def exact_sum(a: np.ndarray) -> float:
@@ -196,15 +198,16 @@ def unit_nodes(dx: float) -> np.ndarray:
 
 def sample(f: PiecewisePoly, dx: float) -> GridFunction:
     """f at unit_nodes(dx), for f supported in [-1, 1] (ValueError
-    otherwise).
-
-    Each value is the correctly rounded float of f's exact value at the
-    node itself (a float is an exact dyadic rational), from the float
-    route of PiecewisePoly.sample_lattice.
+    otherwise): each value the correctly rounded float of f's exact value
+    at the node, from PiecewisePoly.sample_lattice at node * 2^53 over 2^53.
+    These are integers: a node is fl(-1 + y), y = fl(k dx) >= 0.  For
+    1/2 <= y <= 2 it is -1 + y exactly (Sterbenz), and y is a multiple of
+    2^-53; for y < 1/2 it lies in (-1, -1/2], where floats are 2^-53 apart,
+    and for y > 2 past 1, where they are 2^-52 apart.
     """
     if f.support[0] < -1 or f.support[1] > 1:
         raise ValueError("grid.sample takes a density supported in [-1, 1]")
-    return GridFunction(-1.0, dx, f.sample_lattice(unit_nodes(dx)))
+    return GridFunction(-1.0, dx, f.sample_lattice((unit_nodes(dx) * 2.0 ** 53).astype(np.int64), 2 ** 53))
 
 
 def _check_spacing(f: GridFunction, g: GridFunction) -> float:

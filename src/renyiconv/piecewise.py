@@ -18,7 +18,7 @@ are never formed, and pieces below lo are summed through but not built;
 see PiecewisePoly.convolve.
 
 Floats leave this module through one route, PiecewisePoly.sample_lattice,
-at nodes m / den or float nodes: a double-word Horner in numpy with a
+at integer nodes m / den: a double-word Horner in numpy with a
 proven error bound, and the exact integer Horner, divided once, only
 where that bound leaves the rounding in doubt (Ziv, ACM TOMS 17, 1991).
 """
@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from math import factorial, inf, lcm, nan, prod
-from typing import Iterable, Iterator, Union
+from math import ceil, factorial, floor, inf, lcm, nan, prod
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -250,8 +250,8 @@ def _dw_horner(form: tuple, xh: np.ndarray, xl: np.ndarray, out: np.ndarray) -> 
     where h = RN(v) is proved for the exact value v (never at xh = NaN).
 
     Bound.  Let u = 2^-53, n the terms, P_j the partial sums of p~ (Horner
-    on |c| at |y|).  c = hi + lo is within u^2|c|; y = yh + yl is exact at
-    a float node and within 9u^2|y| at m / den, with |yl| <= 4u|yh|.
+    on |c| at |y|).  c = hi + lo is within u^2|c|; y = yh + yl is within
+    9u^2|y| at m / den (m and den are floats), with |yl| <= 4u|yh|.
     TwoProduct and TwoSum are exact and leave |sl| <= u|sh|, so the dropped
     sl yl and six rounded operations on low words err by at most
     33u^2|s||y| + 4u^2|c|: E_j <= (1 + e)|y| E_(j-1) + e P_j, e = 43u^2, and
@@ -431,34 +431,29 @@ class PiecewisePoly:
 
     __call__ = eval
 
-    def sample_lattice(self, nodes: Iterable, den: int | None = None) -> np.ndarray:
-        """float(self.eval(x)) bit for bit at the non-decreasing nodes
-        x = m / den (integers m, den >= 1), or at float nodes when den is
-        None; a decrease raises ValueError, and a value beyond the float
-        range OverflowError, as float() of the Fraction does.
+    def sample_lattice(self, numerators: Sequence[int] | np.ndarray, den: int) -> np.ndarray:
+        """float(self.eval(m / den)) bit for bit at the non-decreasing nodes
+        m / den (a sequence or array of integers m, den >= 1); a decrease
+        raises ValueError, and a value beyond the float range OverflowError,
+        as float() of the Fraction does.
 
-        A node is a double word xh + xl: a float node exactly; for |m|,
-        den < 2^53, xh = RN(m / den) and xl the float of (m - xh den) / den,
-        whose numerator TwoProduct makes exactly.  _dw_horner runs a piece's
+        A node is a double word xh + xl: for |m|, den <= 2^53, xh = RN(m / den)
+        and xl the float of (m - xh den) / den, whose numerator TwoProduct
+        makes exactly (at a power-of-two den, xh = m / den and xl = 0); any
+        other node is NaN, which never certifies.  _dw_horner runs a piece's
         _double_words at up to 2^12 nodes at once and proves each rounding;
         the rest take _exact_float, the piece's exact value rounded once.
         """
-        if den is None:
-            keys = xh = np.asarray(nodes, dtype=float)
-            xl, node = np.zeros_like(xh), Fraction
-            decreasing = bool(np.any(xh[1:] < xh[:-1]))
-        else:
-            keys = list(nodes)
-            decreasing, node = keys != sorted(keys), lambda m: Fraction(m, den)
-            fits = keys and den < 2 ** 53 and -2 ** 53 < keys[0] and keys[-1] < 2 ** 53
-            mf, d = np.array(keys, dtype=float) if fits else np.full(len(keys), nan), float(min(den, 2 ** 53))
-            xh = mf / d  # NaN beyond 2^53: never certified
-            p, e = _two_prod(xh, d, _split(d))
-            xl = (mf - p - e) / d
-        if decreasing:
+        m = np.asarray(numerators)
+        if np.any(m[1:] < m[:-1]):
             raise ValueError("lattice nodes must be non-decreasing")
-        bps, out = self.breakpoints, np.zeros(len(keys))
-        cuts = [bisect_left(keys, b, key=node) for b in bps[:-1]] + [bisect_right(keys, bps[-1], key=node)]
+        fits = (np.abs(m) <= 2 ** 53) & (den <= 2 ** 53)
+        mf, d = np.where(fits, m, nan).astype(float), float(min(den, 2 ** 53))
+        xh = mf / d  # NaN beyond 2^53: never certified
+        p, e = _two_prod(xh, d, _split(d))
+        xl = (mf - p - e) / d
+        bps, out = self.breakpoints, np.zeros(m.size)
+        cuts = [bisect_left(m, ceil(b * den)) for b in bps[:-1]] + [bisect_right(m, floor(bps[-1] * den))]
         for i, piece in enumerate(self.pieces):
             if piece.is_zero() or cuts[i] >= cuts[i + 1]:
                 continue
@@ -467,7 +462,7 @@ class PiecewisePoly:
                 b = min(a + _CHUNK, cuts[i + 1])
                 ok = _dw_horner(form, xh[a:b], xl[a:b], out[a:b]) if form else np.zeros(b - a, bool)
                 for k in np.flatnonzero(~ok) + a:
-                    out[k] = _exact_float(piece, node(keys[k]))
+                    out[k] = _exact_float(piece, Fraction(int(m[k]), den))
         return out
 
     def __eq__(self, other) -> bool:

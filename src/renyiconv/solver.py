@@ -74,8 +74,6 @@ class SolverConfig:
         check_exponent(self.p)
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if not self.dx > 0:
-            raise ValueError("dx must be positive")
         if self.max_iter is not None and self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
         if self.mode == "exact" and (self.n, self.p) != (2, 2):

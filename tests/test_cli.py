@@ -226,6 +226,25 @@ def test_el_residual_beyond_float_range_exits_2(tmp_path):
         assert not os.path.exists(tmp_path / "e" / "manifest.json")
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--mode", "grid", "--p", "1100", "--dx", "0.01"],
+    ["compare", "--p", "5000", "--dx", "0.01"],
+    ["solve", "--mode", "grid", "--p", "1012", "--dx", "0.01"],
+], ids=" ".join)
+def test_a_p_whose_kernel_overflows_exits_2_naming_it(tmp_path, argv):
+    # the p != 2 kernel raises C_n to the power p - 1, and C_2 of the
+    # indicator peaks at 2; at p = 1012 the power is finite but its
+    # product with C_1 is not.  These once printed numpy's overflow
+    # RuntimeWarning, then "values must be finite"
+    out = tmp_path / "o"
+    proc = run_process(argv + ["--out", str(out)])
+    p = float(argv[argv.index("--p") + 1])
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: p = {p} takes the stationarity kernel beyond the float range\n"
+    assert "Warning" not in proc.stderr
+    assert os.listdir(out) == []
+
+
 def test_out_naming_a_file_exits_2(tmp_path):
     path = tmp_path / "taken"
     path.write_text("")

@@ -135,6 +135,14 @@ class TestScaleToFeasible:
         assert ft.mass == 1
         assert ft.lp_mass(3) == Fraction(1, 4)
 
+    def test_exact_irrational_lambda_takes_the_float_root(self):
+        # mass 1, |f|_3^3 = 1: lam = 2^(1/2), so the float root as a Fraction
+        f = PiecewisePoly.indicator(0, 1)
+        ft, lam, ratio = scale_to_feasible(f, ConstraintSet(M=Fraction(1, 2), p=3, n=2))
+        assert lam == Fraction(6369051672525773, 2**52)
+        assert ft.mass == 1
+        assert float(ft.lp_mass(3)) == pytest.approx(0.5, rel=1e-15)
+
     def test_grid_case(self):
         g = GridFunction(-1.0, 1e-3, np.full(2001, 0.7))
         cs = ConstraintSet(M=0.4, p=2.0, n=2)

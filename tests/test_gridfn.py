@@ -95,6 +95,12 @@ class TestSampling:
         assert xs.tolist() == [-1.0 + k * dx for k in range(n)]
         assert xs[n // 2] == pytest.approx(0.0, abs=1e-12) and xs[-1] == pytest.approx(1.0)
 
+    def test_unit_nodes_are_integers_over_2_53(self):
+        # sample hands the nodes to sample_lattice as node * 2^53 over 2^53
+        for dx in [1 / k for k in range(1, 5001)] + [1e-3, 1e-4, 2e-5, 1e-5]:
+            m = unit_nodes(dx) * 2.0**53
+            assert np.array_equal(m, np.floor(m)), dx
+
     @pytest.mark.parametrize("dx, message", [
         (0.0, "dx must be positive"),
         (-0.5, "dx must be positive"),

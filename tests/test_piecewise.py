@@ -178,6 +178,16 @@ class TestPiecewisePolyBasics:
             bad.assert_nonnegative()
         indicator().assert_nonnegative()
 
+    def test_nonnegativity_guard_bisects_to_an_interior_minimum(self):
+        # (x - c)^2 - 10^-6 with c = 1/2 + 1/1000 is positive at all 64
+        # samples k/63 of [0, 1]; only bisecting its derivative's sign
+        # change between 31/63 and 32/63 reaches the dip
+        c = HALF + Fraction(1, 1000)
+        f = PiecewisePoly.single(Polynomial([c * c - Fraction(1, 10**6), -2 * c, 1]), 0, 1)
+        assert all(f.eval(Fraction(k, 63)) > 0 for k in range(64))
+        with pytest.raises(NegativeDensity, match="^negative interior minimum detected$"):
+            f.assert_nonnegative()
+
     def test_lp_norm_int(self):
         f = indicator(-1, 1, HALF)
         assert f.lp_mass(2) == HALF
@@ -465,7 +475,7 @@ class TestEvenness:
 
 
 def rand_sampled_piecewise(rng):
-    """Up to five pieces of degree <= 9 on breakpoints in [-3, 3] with
+    """Up to five pieces of degree <= 9 on breakpoints in [-36, 36] with
     denominators 1..12 (dyadic and not): each piece is zero, even
     (odd coefficients all zero) or general with some zero coefficients,
     so odd pieces of even degree and negative values occur."""
@@ -498,9 +508,9 @@ def reference(f, ms, den):
 
 
 class TestSampleLattice:
-    """sample_lattice gives float(f.eval(x)) bit for bit, at nodes m / den
-    and at float nodes, and so do the two callers, grid.sample and the
-    CLI plot sampler."""
+    """sample_lattice gives float(f.eval(x)) bit for bit at nodes m / den,
+    and so do its callers, grid.sample (at node * 2^53 over 2^53) and the
+    CLI plot sampler (at k / 1000)."""
 
     def test_matches_eval_on_breakpoint_lattices(self, rng, trials):
         for _ in range(trials):
@@ -519,14 +529,12 @@ class TestSampleLattice:
 
     def test_grid_sample_matches_eval_on_float_lattices(self, rng, trials):
         for _ in range(max(1, trials // 4)):
-            f = rand_sampled_piecewise(rng).power_int(2)
-            lo, hi = float(f.support[0]), float(f.support[1])
-            # the float lattice lo + k*dx over f's support: from a dyadic
-            # support start, dyadic steps land on dyadic breakpoints; 0.01
-            # is not dyadic
-            for dx in (0.125, 1 / 64, 0.01):
-                xs = lo + np.arange(ceil((hi - lo) / dx - 1e-9) + 1) * dx
-                assert f.sample_lattice(xs).tolist() == [float(f.eval(Fraction(x))) for x in xs.tolist()]
+            # breakpoints in [-36/64, 36/64]: steps of 2^-10 land on the
+            # dyadic ones; 0.01 and 1e-3 are not dyadic
+            f = rand_sampled_piecewise(rng).power_int(2).dilate(Fraction(1, 64))
+            for dx in (0.125, 1 / 64, 2.0**-10, 0.01, 1e-3):
+                xs = grid.unit_nodes(dx).tolist()
+                assert grid.sample(f, dx).values.tolist() == [float(f.eval(Fraction(x))) for x in xs]
 
     def test_plot_sampler_matches_eval_on_k_over_1000(self, rng):
         f = rand_sampled_piecewise(rng).power_int(2).dilate(Fraction(1, 3))
@@ -701,16 +709,15 @@ class TestCertifiedSampling:
 
     @pytest.mark.parametrize("a, b, k", [(310, 79, 265), (32, 935, 7), (913, 15, 255)])
     def test_low_words_that_underflow(self, a, b, k):
-        # values near 2^-1020: the low words of c1 x fall below 2^-1022,
-        # where each rounding is absolute, so only the term U keeps these
-        # off the certified path
-        f = PiecewisePoly.single(Polynomial([Fraction(a, 3 * 2**1030), Fraction(b, 7 * 2**560)]), -1, 1)
-        x = k * 2.0**-470
-        assert bits(f.sample_lattice([x])) == bits([float(f.eval(Fraction(x)))])
+        # values near 2^-1020 at x = k / 2^40: c1 is near 2^-990, so its low
+        # word and those of c1 x fall below 2^-1022, where each rounding is
+        # absolute, and only the term U keeps these off the certified path
+        f = PiecewisePoly.single(Polynomial([Fraction(a, 3 * 2**1030), Fraction(b, 7 * 2**990)]), -1, 1)
+        self.check(f, [k], 2**40)
 
     def test_random_pieces_against_eval(self, rng):
         # 200 pieces of degree <= 40 (half of them even), at k/1000, at a
-        # non-dyadic den and at float nodes
+        # non-dyadic den and at dyadic nodes of 47 fractional bits
         for _ in range(200):
             cs = [rand_fraction(rng, 10**4, 10**4) * Fraction(2) ** int(rng.integers(-30, 31))
                   for _ in range(int(rng.integers(1, 42)))]
@@ -719,21 +726,44 @@ class TestCertifiedSampling:
             lo = rand_fraction(rng, 40, 8)
             f = PiecewisePoly.single(Polynomial(cs), lo, lo + rand_fraction(rng, 40, 8) ** 2 + 1)
             a, b = f.support
-            for den in (1000, 7):
+            for den in (1000, 7, 2**47):
                 ms = sorted(set(rng.integers(floor(a * den) - 1, ceil(b * den) + 2, size=12).tolist()))
                 self.check(f, ms, den)
-            xs = np.sort(float(a) + rng.random(12) * float(b - a))
-            assert bits(f.sample_lattice(xs)) == bits([float(f.eval(Fraction(x))) for x in xs])
 
     @pytest.mark.parametrize("lo, dx", [(-1.0, 1e-3), (-0.3, 0.01), (0.1, 1 / 3), (-3.7, 7.3e-3),
                                         (1e-300, 0.25), (-2.0, 0.125)])
     def test_grid_nodes_are_lo_plus_k_dx(self, lo, dx):
-        # x^2 is strictly monotone on each side of 0, so a moved node shows
+        # the float nodes lo + k*dx as integers over one power of two (past
+        # 2^53 at three lattices, which then take the exact value); x^2 is
+        # strictly monotone on each side of 0, so a moved node shows
         f = PiecewisePoly.single(Polynomial([0, 0, 1]), Fraction(lo), Fraction(lo) + 3)
-        xs = lo + np.arange(ceil(3 / dx - 1e-9) + 1) * dx
-        vals = f.sample_lattice(xs)
-        assert bits(vals) == bits([float(f.eval(Fraction(x))) for x in xs.tolist()])
+        xs = [Fraction(x) for x in (lo + np.arange(ceil(3 / dx - 1e-9) + 1) * dx).tolist()]
+        den = max(x.denominator for x in xs)
+        vals = f.sample_lattice([int(x * den) for x in xs], den)
+        assert bits(vals) == bits([float(f.eval(x)) for x in xs])
         assert vals[0] == lo * lo
+
+    def test_nodes_beyond_2_53_are_exact_one_at_a_time(self, exact_nodes):
+        # den = 2^53 is exact in floats, and so is every |m| <= 2^53; a node
+        # past that, or any node over a den past it, takes the exact value
+        f = PiecewisePoly.single(Polynomial([1, Fraction(1, 3)]), -2, 2)
+        top = 2**53
+        ms = [-top - 1, -top, -top + 1, 0, top // 2, top - 1, top, top + 1, top + 2]
+        self.check(f, ms, top)
+        assert exact_nodes == self.at([-top - 1, top + 1, top + 2], top)
+        exact_nodes.clear()
+        self.check(f, [-1, 0, 1], 2 * top)
+        assert exact_nodes == self.at([-1, 0, 1], 2 * top)
+
+    def test_grid_nodes_just_past_one(self, exact_nodes):
+        # a dx that divides 1 only within unit_nodes' tolerance puts the last
+        # node just past 1, beyond 2^53 over 2^53; the others still certify
+        dx = 1e-3 * (1 + 1e-10)
+        xs = grid.unit_nodes(dx)
+        assert xs[-1] > 1
+        f2 = exact_iterates()[2]
+        assert grid.sample(f2, dx).values.tolist() == [float(f2.eval(Fraction(x))) for x in xs.tolist()]
+        assert len(exact_nodes) <= xs.size // 100
 
 
 class TestSerialization:

@@ -167,6 +167,13 @@ class TestExactIteration:
         assert iterate_once(F0).f == F1  # supported exactly on [-1, 1]
         assert sample(F0, 0.5).values.tolist() == [1.0] * 5
 
+    @pytest.mark.parametrize("n, p", [(3, 2), (2, 3)])
+    def test_exact_update_refuses_other_n_p(self, n, p):
+        # SolverConfig refuses these first; the update's own guard keeps a
+        # direct call from building the (n, p) kernel in rationals
+        with pytest.raises(ValueError, match=r"^exact iteration supports only n = 2, p = 2$"):
+            iterate_once(F1, n, p)
+
     def test_run_exact_solution_fields(self):
         sol = run_fixed_point(SolverConfig(mode="exact", max_iter=2))
         assert sol.converged  # the exact lane's count is its budget

@@ -7,10 +7,11 @@ convolve_grid chooses, so products that share a factor can share its
 spectrum, and a command's products run at as few lengths as possible.
 
 Exact values become floats in one place, PiecewisePoly.sample_lattice,
-which runs a certified double-word Horner over all nodes at once and
-divides integers once only at the nodes it cannot certify, instead of
-building a Fraction per node; float(f.eval(x)) elsewhere in the package
-would be a second route.
+at one kind of node, integers m over den (grid.sample hands its float
+nodes over as integers over 2^53).  It runs a certified double-word
+Horner over all nodes at once and divides integers once only at the
+nodes it cannot certify, instead of building a Fraction per node;
+float(f.eval(x)) elsewhere in the package would be a second route.
 
 A plain pair convolve_grid(f, g) with no window transforms at a power
 of two, not at the 5-smooth length of every other product.  It survives
