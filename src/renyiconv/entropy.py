@@ -157,10 +157,12 @@ def scale_to_feasible(f: Density, constraints: ConstraintSet) -> FeasibleScaling
         except (OverflowError, ZeroDivisionError):
             lam = math.inf
         # f_tilde has unit mass on the spacing h = lam dx, so its samples sum
-        # to 1/h; its p-mass, C_n and el_residual's kernel (a factor C_n^(p-1))
-        # stay below (1/h)^k, k = n + max(p - 2, 0), which must be a float
-        k = n + max(p - 2.0, 0.0)
-        if not (0 < lam < math.inf and k * abs(math.log(lam) + math.log(f.dx)) < _LOG_FLOAT_MAX):
+        # to 1/h and the unscaled product of n spectra peaks at (1/h)^n.  Its
+        # peak s = max(f) / (lam mass) bounds C_n of unit-mass factors (Young's
+        # inequality), so f_tilde^p, C_n^p and el_residual's kernel (a factor
+        # C_n^(p-1)) stay below max(1, s^p).  (1/h)^n, h^n and s^p must be floats
+        if not (0 < lam < math.inf and n * abs(math.log(lam) + math.log(f.dx)) < _LOG_FLOAT_MAX
+                and p * (math.log(f.values.max()) - math.log(lam) - math.log(mass)) < _LOG_FLOAT_MAX):
             raise ValueError(f"M = {M} at p = {p} rescales the density beyond the float range")
     f_tilde = f.dilate(lam) * (1 / (lam * mass))
     predicted = M / (lpm * mass ** (p * (n - 1)))

@@ -17,6 +17,11 @@ them, is one chain of jump products, _jump_chain.  It takes a window
 are never formed, and pieces below lo are summed through but not built;
 see PiecewisePoly.convolve.
 
+Nonnegativity is decided, not sampled: PiecewisePoly.assert_nonnegative
+takes each piece to [0, 1] and into Bernstein form with two integer Taylor
+shifts, and isolates roots by Descartes' rule of signs only where those
+coefficients change sign (Collins and Akritas, SYMSAC 1976).
+
 Floats leave this module through one route, PiecewisePoly.sample_lattice,
 at integer nodes m / den: a double-word Horner in numpy with a
 proven error bound, and the exact integer Horner, divided once, only
@@ -33,9 +38,6 @@ import numpy as np
 
 RationalLike = Union[Fraction, int, str]
 
-# assert_nonnegative: samples per piece, bisection steps per sign change
-_NONNEG_SAMPLES = 64
-_NONNEG_BISECT_STEPS = 30
 _CHUNK = 1 << 12  # nodes per double-word Horner: bounds its temporaries
 
 
@@ -293,6 +295,76 @@ def _taylor_shift(cs: list[int], s: int) -> list[int]:
     return cs
 
 
+def _bernstein(nums: list[int], lo: Fraction, hi: Fraction) -> list[int]:
+    """Positive multiples of the Bernstein coefficients of the integer
+    polynomial N = nums (lowest degree first) on [lo, hi], last first.
+
+    With lo = A / D and hi - lo = W / D, q(t) = D^d N((A + W t) / D) is a
+    Taylor shift by A of the nums[k] D^(d-k), then a scaling of the k-th by
+    W^k.  With q = sum b_i C(d, i) t^i (1 - t)^(d-i), the reversed q shifted
+    by 1 is (1 + u)^d q(1 / (1 + u)) = sum b_i C(d, i) u^(d-i).  All >= 0
+    prove N >= 0 on [lo, hi]; by Descartes' rule their sign changes bound
+    its roots in (lo, hi), with the same parity (Collins and Akritas, SYMSAC
+    1976).
+    """
+    d, D = len(nums) - 1, lcm(lo.denominator, hi.denominator)
+    A, W = lo.numerator * (D // lo.denominator), int((hi - lo) * D)
+    q = _taylor_shift([c * D ** (d - k) for k, c in enumerate(nums)], A)
+    return _taylor_shift([c * W ** k for k, c in enumerate(q)][::-1], 1)
+
+
+def _sign_changes(cs: list[int]) -> int:
+    signs = [c > 0 for c in cs if c]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _divmod(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """Quotient and remainder of f by a nonzero g."""
+    r, lead = list(f.coeffs), g.coeffs[-1]
+    q = [Fraction(0)] * max(len(r) - g.degree, 0)
+    for k in reversed(range(len(q))):
+        c = q[k] = r[k + g.degree] / lead
+        for j, gc in enumerate(g.coeffs):
+            r[k + j] -= c * gc
+    return Polynomial(q), Polynomial(r)
+
+
+def _square_free(p: Polynomial) -> Polynomial:
+    """p / gcd(p, p'): the roots of p, each simple."""
+    g, h = p, p.derivative()
+    while not h.is_zero():
+        g, h = h, _divmod(g, h)[1]
+    return _divmod(p, g)[0]
+
+
+def _dips_below_zero(p: Polynomial, a: Fraction, b: Fraction) -> bool:
+    """Whether p < 0 somewhere in (a, b), for a nonzero p >= 0 at a and b.
+
+    p keeps its sign between consecutive roots, so it is decided at one
+    point of each root-free gap.  Bisection of [a, b] isolates the roots of
+    the square-free part s by _bernstein's sign changes v on each part
+    [lo, hi], whose ends are already evaluated.  A part with v = 0 has no
+    root inside: it needs its midpoint only when both ends are roots; a part
+    with v = 1 has one root: its ends cover both sides unless one is a
+    root.  Every other part is split at its midpoint, which is evaluated.
+    Bisection ends, as s has simple roots only.
+    """
+    s = _square_free(p)._integers()[0]
+    parts = [(a, b, p(a) == 0, p(b) == 0)]
+    while parts:
+        lo, hi, zlo, zhi = parts.pop()
+        v = _sign_changes(_bernstein(s, lo, hi))
+        if v == 0 and not (zlo and zhi) or v == 1 and not (zlo or zhi):
+            continue
+        mid = (lo + hi) / 2
+        pm = p(mid)
+        if pm < 0:
+            return True
+        if v:
+            parts += [(lo, mid, zlo, pm == 0), (mid, hi, pm == 0, zhi)]
+    return False
+
+
 def _jumps(f: "PiecewisePoly", scale: int) -> tuple[dict[int, list[int]], int]:
     """Jump form of y -> f(y / scale), where scale * b is an integer at
     every breakpoint b.
@@ -547,45 +619,29 @@ class PiecewisePoly:
         return self.integral(*self.support)
 
     def assert_nonnegative(self) -> None:
-        """Check f >= 0 on the support; raise NegativeDensity otherwise.
+        """Decide f >= 0 on the support exactly; raise NegativeDensity
+        otherwise, naming an end or an interior point of a piece.
 
-        Each piece is sign-checked on a uniform rational sample; interior
-        minima are additionally probed by bisecting sign changes of the
-        derivative between samples.  This avoids full real-root isolation
-        and is exact at every point actually tested.
+        A piece whose Bernstein coefficients on its interval are all >= 0 is
+        nonnegative there (_bernstein: two integer Taylor shifts).  Any other
+        piece is decided at its ends and at one rational point of every
+        root-free gap between them (_dips_below_zero).  No float is used.
         """
         for a, b, p in self.intervals():
-            if p.is_zero():
+            if p.is_zero() or min(_bernstein(p._integers()[0], a, b)) >= 0:
                 continue
-            step = (b - a) / (_NONNEG_SAMPLES - 1)
-            xs = [a + k * step for k in range(_NONNEG_SAMPLES)]
-            vals = [p(x) for x in xs]
-            if any(v < 0 for v in vals):
+            if p(a) < 0 or p(b) < 0:
                 raise NegativeDensity("negative value detected on a sample point")
-            d = p.derivative()
-            signs = [d(x) for x in xs]
-            for k in range(_NONNEG_SAMPLES - 1):
-                if signs[k] > 0 and signs[k + 1] < 0 or signs[k] < 0 and signs[k + 1] > 0:
-                    lo, hi = xs[k], xs[k + 1]
-                    flo = signs[k]
-                    for _ in range(_NONNEG_BISECT_STEPS):
-                        mid = (lo + hi) / 2
-                        fmid = d(mid)
-                        if fmid == 0:
-                            break
-                        if (flo > 0) == (fmid > 0):
-                            lo, flo = mid, fmid
-                        else:
-                            hi = mid
-                    if p((lo + hi) / 2) < 0:
-                        raise NegativeDensity("negative interior minimum detected")
+            if _dips_below_zero(p, a, b):
+                raise NegativeDensity("negative interior minimum detected")
 
     def lp_mass(self, p) -> Fraction:
         """Exact integral of f^p over the support, for an integer-valued
         p >= 1 (int, Fraction or float); other exponents raise ValueError.
 
         Requires f >= 0 on its support (this is the p-th power of the
-        L^p norm of a density).
+        L^p norm of a density): assert_nonnegative decides it exactly first,
+        and raises NegativeDensity otherwise.
         """
         k = int(p)
         if k != p or k < 1:

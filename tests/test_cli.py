@@ -245,6 +245,21 @@ def test_a_p_whose_kernel_overflows_exits_2_naming_it(tmp_path, argv):
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("argv, code, stderr", [
+    (["compare", "--p", "155", "--dx", "0.01"], 0, ""),
+    (["compare", "--p", "400", "--dx", "0.01"], 0, ""),
+    (["compare", "--n", "2", "--p", "2", "--M", "1e300", "--dx", "0.01"], 2,
+     "error: M = 1e+300 at p = 2.0 rescales the density beyond the float range\n"),
+    (["compare", "--p", "5000", "--dx", "0.01"], 2,
+     "error: p = 5000.0 takes the stationarity kernel beyond the float range\n"),
+], ids=argv_id)
+def test_rescaling_guard_bounds_the_spectra_and_the_peak(tmp_path, argv, code, stderr):
+    # the guard once charged (n + p - 2) |log(lam dx)|, as if one sample held
+    # all the mass, and refused p = 155 although every number was a float
+    proc = run_process(argv + ["--out", str(tmp_path / "o")])
+    assert (proc.returncode, proc.stderr) == (code, stderr)
+
+
 def test_out_naming_a_file_exits_2(tmp_path):
     path = tmp_path / "taken"
     path.write_text("")

@@ -10,6 +10,7 @@ import pytest
 
 from renyiconv import cli, grid, piecewise
 from instruments import reflect, restrict, translate
+from renyiconv.entropy import exact_gengauss_p2
 from renyiconv.euler_lagrange import counterexample_check
 from renyiconv.piecewise import (
     NegativeDensity,
@@ -179,9 +180,10 @@ class TestPiecewisePolyBasics:
         indicator().assert_nonnegative()
 
     def test_nonnegativity_guard_bisects_to_an_interior_minimum(self):
-        # (x - c)^2 - 10^-6 with c = 1/2 + 1/1000 is positive at all 64
-        # samples k/63 of [0, 1]; only bisecting its derivative's sign
-        # change between 31/63 and 32/63 reaches the dip
+        # (x - c)^2 - 10^-6 with c = 1/2 + 1/1000 is positive at both
+        # ends and at every k/63 of [0, 1]: its roots c -+ 1/1000 lie
+        # between 31/63 and 32/63.  Its Bernstein coefficients on [0, 1]
+        # change sign, and root isolation finds the gap between the roots
         c = HALF + Fraction(1, 1000)
         f = PiecewisePoly.single(Polynomial([c * c - Fraction(1, 10**6), -2 * c, 1]), 0, 1)
         assert all(f.eval(Fraction(k, 63)) > 0 for k in range(64))
@@ -192,6 +194,94 @@ class TestPiecewisePolyBasics:
         f = indicator(-1, 1, HALF)
         assert f.lp_mass(2) == HALF
         assert f.lp_mass(3) == Fraction(1, 4)
+
+
+def product_of_roots(rng, lo, hi):
+    """A random rational polynomial, a positive lead coefficient times
+    factors (x - r)^k and ((x - r)^2 - q)^k: rational roots inside and
+    outside [lo, hi] and at its ends, irrational pairs r -+ sqrt(q) (q w^-2
+    = m / 9, m not a square), complex pairs (q < 0), and touching zeros
+    (even k); then, in a third of the cases, a constant +-10^-j added."""
+    w, poly = hi - lo, Polynomial([Fraction(int(rng.integers(1, 6)), int(rng.integers(1, 4)))])
+    for _ in range(int(rng.integers(1, 4))):
+        kind, k = rng.integers(0, 4), int(rng.choice([1, 2, 2, 3, 4]))
+        r = (lo, hi)[int(rng.integers(0, 2))] if kind == 0 else lo + w * Fraction(int(rng.integers(-4, 13)), 8)
+        if kind < 2:
+            factor = Polynomial([-r, 1])
+        else:
+            q = Fraction(int(rng.choice([2, 3, 5, 6, 7, -1, -2])), 9) * w * w
+            factor = Polynomial([r * r - q, -2 * r, 1])
+        poly = poly * factor.pow_int(k)
+    if rng.random() < 1 / 3:
+        poly = poly + Polynomial([Fraction(int(rng.choice([-1, 1])), 10 ** int(rng.integers(3, 12)))])
+    return poly
+
+
+def sympy_nonnegative(sp, poly, lo, hi):
+    """poly >= 0 on [lo, hi] by sympy: with poly = c prod s_i^i square-free
+    (sqf_list), the sign of poly off its roots is that of c times the odd
+    part o = prod_{i odd} s_i, whose roots are simple: poly >= 0 exactly
+    when o has no root inside (lo, hi) and c o > 0 at the midpoint."""
+    x = sp.Symbol("x")
+    lo, hi = sp.Rational(lo.numerator, lo.denominator), sp.Rational(hi.numerator, hi.denominator)
+    c, parts = sp.Poly([sp.Rational(a.numerator, a.denominator) for a in reversed(poly.coeffs)], x).sqf_list()
+    odd = sp.Poly(c, x)
+    for part, k in parts:
+        if k % 2:
+            odd = odd * part
+    inside = odd.count_roots(lo, hi) - (odd.eval(lo) == 0) - (odd.eval(hi) == 0)
+    return inside == 0 and odd.eval((lo + hi) / 2) > 0
+
+
+class TestNonnegativity:
+    def test_agrees_with_sympy(self, rng, trials):
+        sp = pytest.importorskip("sympy")
+        decided = set()
+        for _ in range(trials):
+            lo = rand_fraction(rng, 9, 7)
+            hi = lo + Fraction(int(rng.integers(1, 30)), int(rng.integers(1, 12)))
+            poly = product_of_roots(rng, lo, hi)
+            expected = sympy_nonnegative(sp, poly, lo, hi)
+            try:
+                PiecewisePoly.single(poly, lo, hi).assert_nonnegative()
+                got = True
+            except NegativeDensity:
+                got = False
+            assert got == expected, (poly, lo, hi)
+            decided.add(got)
+        assert decided == {True, False}
+
+    @pytest.mark.parametrize("tail, nonnegative", [
+        (Fraction(1, 10**13), False),      # minimum -1.5e-13, between four roots
+        (Fraction(1, 4 * 10**12), True),   # ((x - 1/2)^2 - 1/(2 10^6))^2: two touching zeros
+    ])
+    def test_decides_close_roots(self, tail, nonnegative):
+        # the example the sampled check once passed
+        y = Polynomial([-HALF, 1])
+        f = PiecewisePoly.single(y.pow_int(4) - Fraction(1, 10**6) * y.pow_int(2) + Polynomial([tail]), 0, 1)
+        if nonnegative:
+            f.assert_nonnegative()
+        else:
+            with pytest.raises(NegativeDensity, match="^negative interior minimum detected$"):
+                f.assert_nonnegative()
+
+    def test_names_a_negative_end(self):
+        # x (x - 2) is negative on (0, 1], its piece: the end 1 is the witness
+        f = PiecewisePoly([-1, 0, 1], [Polynomial([1]), Polynomial([0, -2, 1])])
+        with pytest.raises(NegativeDensity, match="^negative value detected on a sample point$"):
+            f.assert_nonnegative()
+
+    def test_workload_densities_need_no_root_isolation(self, monkeypatch):
+        # the Bernstein coefficients alone prove f1..f4 and C_2(G), C_3(G);
+        # their signs do not change under a dilation of G or a positive
+        # factor, so this covers the C_n(G) that compare --p 2 integrates
+        def isolate(p, a, b):
+            raise AssertionError(f"root isolation on [{a}, {b}]")
+
+        monkeypatch.setattr(piecewise, "_dips_below_zero", isolate)
+        _, g = exact_gengauss_p2(Fraction(1))
+        for f in exact_iterates()[1:] + (g.convolution_power(2), g.convolution_power(3)):
+            f.assert_nonnegative()
 
 
 class TestConvolution:
