@@ -89,8 +89,15 @@ def objective_I(f: Density, n: int, p) -> Union[Fraction, float]:
     A piecewise f returns a Fraction, which is simultaneously the exact
     rational value and a usable real number; a grid f returns a float,
     from C_n made in one product at the update kernels' transform length.
+    A grid whose unscaled product of n spectra leaves the float range
+    raises ValueError naming n and dx, before numpy can warn.
     """
-    return f.convolution_power(n).lp_mass(p)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            cn = f.convolution_power(n)
+    except FloatingPointError:  # only a grid's floats raise it
+        raise ValueError(f"n = {n} at dx = {f.dx} takes C_n beyond the float range") from None
+    return cn.lp_mass(p)
 
 
 class FeasibleScaling(NamedTuple):
@@ -130,7 +137,8 @@ def scale_to_feasible(f: Density, constraints: ConstraintSet) -> FeasibleScaling
       lam = (||f||_p^p / (M * ||f||_1^p))^(1/(p-1)),
     so that ||f_tilde||_1 = 1 and ||f_tilde||_p^p = M, and
       objective_I(f_tilde, n, p) = predicted_ratio * objective_I(f, n, p)
-    with predicted_ratio = M / (||f||_p^p * ||f||_1^(p(n-1))).
+    with predicted_ratio = M / (||f||_p^p * ||f||_1^(p(n-1))), which a grid
+    f saturates at 0 or inf beyond the float range.
 
     A piecewise f (integer p) gets an exact rational lam when the root is
     rational and the float root as a Fraction otherwise; a grid f gets
@@ -165,7 +173,12 @@ def scale_to_feasible(f: Density, constraints: ConstraintSet) -> FeasibleScaling
                 and p * (math.log(f.values.max()) - math.log(lam) - math.log(mass)) < _LOG_FLOAT_MAX):
             raise ValueError(f"M = {M} at p = {p} rescales the density beyond the float range")
     f_tilde = f.dilate(lam) * (1 / (lam * mass))
-    predicted = M / (lpm * mass ** (p * (n - 1)))
+    try:
+        predicted = M / (lpm * mass ** (p * (n - 1)))
+    except OverflowError:  # a float mass^(p(n-1)) beyond the float range
+        predicted = 0.0
+    except ZeroDivisionError:  # a float mass^(p(n-1)) that underflows to 0
+        predicted = math.inf
     _assert_feasible(f_tilde, constraints)
     return FeasibleScaling(f_tilde, lam, predicted)
 

@@ -92,7 +92,9 @@ def el_residual(q: GridFunction, n: int, p: float, M: float) -> ElResidualReport
 
     If Q is not feasible for (M, p) within 1e-6 it is rescaled into the
     feasible set first; the dilation used is reported as fitted_scale.
-    The objective I and the kernel come from one C_n: 4 transforms.
+    The objective I and the kernel come from one C_n: 4 transforms.  An n
+    that takes C_n's unscaled product of spectra beyond the float range
+    raises ValueError naming n and dx, before numpy can warn.
     """
     constraints = ConstraintSet(M=M, p=p, n=n)
     fitted_scale = 1.0
@@ -106,7 +108,11 @@ def el_residual(q: GridFunction, n: int, p: float, M: float) -> ElResidualReport
         fitted_scale = float(lam)
 
     spectra = {}
-    cn = q.convolution_power(n, spectra=spectra)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            cn = q.convolution_power(n, spectra=spectra)
+    except FloatingPointError:
+        raise ValueError(f"n = {n} at dx = {q.dx} takes the stationarity kernel beyond the float range") from None
     lam_val = float(objective_I(cn, 1, p))  # I_n(Q) = I_1(C_n(Q)), bit for bit
     lhs_vals = _kernel_from_cn(q, n, p, cn, spectra).values
     rhs_vals = (lam_val / (M * n)) * q.values ** (p - 1.0) + lam_val * (n - 1) / n

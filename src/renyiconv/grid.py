@@ -135,10 +135,13 @@ class GridFunction:
         return self.dx * exact_sum(self.values)
 
     def lp_mass(self, p) -> float:
-        """dx * sum f[i]^p, the p-th power of the grid L^p norm, for p >= 1."""
+        """dx * sum f[i]^p, the p-th power of the grid L^p norm, for p >= 1;
+        inf, without a warning, where a power leaves the float range."""
         if not (p >= 1):
             raise ValueError("lp_mass requires p >= 1")
-        return self.dx * exact_sum(np.power(self.values, float(p)))
+        with np.errstate(over="ignore"):
+            powers = np.power(self.values, float(p))
+        return self.dx * exact_sum(powers)
 
     def node_index(self, x: float) -> int:
         """Index of the node at x; raises if x is not a node."""

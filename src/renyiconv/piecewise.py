@@ -177,30 +177,13 @@ class Polynomial:
             m >>= 1
         return result
 
-    def derivative(self, order: int = 1) -> "Polynomial":
-        if order < 0:
-            raise ValueError("negative derivative order")
-        cs = self.coeffs
-        for _ in range(order):
-            cs = tuple(Fraction(k) * cs[k] for k in range(1, len(cs)))
-        return Polynomial(cs)
-
-    def antiderivative(self) -> "Polynomial":
-        """Primitive with zero constant term."""
-        return Polynomial([Fraction(0)] + [c / (k + 1) for k, c in enumerate(self.coeffs)])
+    def derivative(self) -> "Polynomial":
+        return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def integrate(self, lo: RationalLike, hi: RationalLike) -> Fraction:
-        prim = self.antiderivative()
+        """Exact integral over [lo, hi], by the primitive with zero constant term."""
+        prim = Polynomial([0] + [c / (k + 1) for k, c in enumerate(self.coeffs)])
         return prim(hi) - prim(lo)
-
-    def compose_linear(self, a: RationalLike, b: RationalLike) -> "Polynomial":
-        """Return the polynomial x -> self(a*x + b)."""
-        a, b = as_fraction(a), as_fraction(b)
-        lin = Polynomial([b, a])
-        acc = Polynomial()
-        for c in reversed(self.coeffs):
-            acc = acc * lin + Polynomial([c])
-        return acc
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -578,9 +561,6 @@ class PiecewisePoly:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "PiecewisePoly":
-        return self * Fraction(-1)
-
     def power_int(self, m: int) -> "PiecewisePoly":
         """Pointwise integer power, m >= 1."""
         if m < 1:
@@ -588,35 +568,23 @@ class PiecewisePoly:
         return PiecewisePoly(self.breakpoints, [p.pow_int(m) for p in self.pieces])
 
     def dilate(self, lam: RationalLike) -> "PiecewisePoly":
-        """Return x -> self(x / lam) for rational lam > 0."""
+        """Return x -> self(x / lam) for rational lam > 0: coefficient c_k
+        becomes c_k / lam^k."""
         lam = as_fraction(lam)
         if lam <= 0:
             raise ValueError("dilation factor must be positive")
-        inv = 1 / lam
         return PiecewisePoly(
             [b * lam for b in self.breakpoints],
-            [p.compose_linear(inv, 0) for p in self.pieces],
+            [Polynomial([c / lam ** k for k, c in enumerate(p.coeffs)]) for p in self.pieces],
         )
 
     # ------------------------------------------------------------------
     # calculus
 
-    def integral(self, lo: RationalLike, hi: RationalLike) -> Fraction:
-        """Exact definite integral over [lo, hi]."""
-        lo, hi = as_fraction(lo), as_fraction(hi)
-        if lo > hi:
-            raise ValueError("integral requires lo <= hi")
-        total = Fraction(0)
-        for a, b, p in self.intervals():
-            left, right = max(a, lo), min(b, hi)
-            if left < right:
-                total += p.integrate(left, right)
-        return total
-
     @property
     def mass(self) -> Fraction:
-        """Integral over the whole support."""
-        return self.integral(*self.support)
+        """Exact integral over the whole support."""
+        return sum((p.integrate(a, b) for a, b, p in self.intervals()), Fraction(0))
 
     def assert_nonnegative(self) -> None:
         """Decide f >= 0 on the support exactly; raise NegativeDensity

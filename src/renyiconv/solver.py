@@ -132,12 +132,16 @@ def _kernel_of(f: Density, n: int, p: float) -> Density:
     product, 2 transforms), which is the first-variation kernel
     T(C_{n-1}(f)) * C_n(f) of the even iterates the update makes.
     Otherwise it is the first-variation kernel, stationarity_kernel:
-    4 transforms."""
+    4 transforms.  A grid whose unscaled product of spectra, near
+    (1/dx)^(2n-1) or (1/dx)^n, leaves the float range raises ValueError
+    naming n and dx, before numpy can warn."""
     if isinstance(f, PiecewisePoly) and (n, p) != (2, 2):
         raise ValueError("exact iteration supports only n = 2, p = 2")
-    if p == 2:
-        return f.convolution_power(2 * n - 1, -1, 1)
-    return stationarity_kernel(f, n, p)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return f.convolution_power(2 * n - 1, -1, 1) if p == 2 else stationarity_kernel(f, n, p)
+    except FloatingPointError:  # only a grid's floats raise it
+        raise ValueError(f"n = {n} at dx = {f.dx} takes the update kernel beyond the float range") from None
 
 
 def _on_unit_nodes(f: GridFunction) -> bool:

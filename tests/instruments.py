@@ -9,8 +9,10 @@ no renyiconv command runs.
 - the n = 2, p = 2 consistency of a fixed point with the stationarity
   coefficients (acceptance criterion 3);
 - exact reflection and translation of a PiecewisePoly, which the
-  pointwise convolution oracle builds g(x - t) from, and restriction,
-  which the windowed convolution is checked against;
+  pointwise convolution oracle builds g(x - t) from, through the linear
+  substitution x -> a x + b, which PiecewisePoly.dilate is checked
+  against, and restriction, which the windowed convolution is checked
+  against;
 - the pointwise value of a generalized Gaussian, for quadrature.
 
 They reuse renyiconv's own spacing, lattice and convolution code rather
@@ -27,7 +29,7 @@ import numpy as np
 from renyiconv import grid
 from renyiconv.entropy import ConstraintSet, GeneralizedGaussian, objective_I, scale_to_feasible
 from renyiconv.grid import GridFunction
-from renyiconv.piecewise import PiecewisePoly, RationalLike, as_fraction
+from renyiconv.piecewise import PiecewisePoly, Polynomial, RationalLike, as_fraction
 from renyiconv.solver import FixedPointSolution
 
 
@@ -185,11 +187,20 @@ def pair_chain(g: GridFunction, n: int) -> GridFunction:
     return out
 
 
+def compose_linear(p: Polynomial, a: RationalLike, b: RationalLike) -> Polynomial:
+    """The polynomial x -> p(a*x + b), by Horner's rule in a*x + b."""
+    lin = Polynomial([as_fraction(b), as_fraction(a)])
+    acc = Polynomial()
+    for c in reversed(p.coeffs):
+        acc = acc * lin + Polynomial([c])
+    return acc
+
+
 def reflect(f: PiecewisePoly) -> PiecewisePoly:
     """The exact function x -> f(-x)."""
     return PiecewisePoly(
         [-b for b in reversed(f.breakpoints)],
-        [p.compose_linear(-1, 0) for p in reversed(f.pieces)],
+        [compose_linear(p, -1, 0) for p in reversed(f.pieces)],
     )
 
 
@@ -207,7 +218,7 @@ def translate(f: PiecewisePoly, shift: RationalLike) -> PiecewisePoly:
     shift = as_fraction(shift)
     return PiecewisePoly(
         [b + shift for b in f.breakpoints],
-        [p.compose_linear(1, -shift) for p in f.pieces],
+        [compose_linear(p, 1, -shift) for p in f.pieces],
     )
 
 

@@ -260,6 +260,70 @@ def test_rescaling_guard_bounds_the_spectra_and_the_peak(tmp_path, argv, code, s
     assert (proc.returncode, proc.stderr) == (code, stderr)
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--n", "48", "--dx", "1e-3"],
+    ["compare", "--n", "100", "--dx", "0.01"],
+    ["solve", "--n", "150", "--p", "3", "--dx", "0.01"],
+], ids=" ".join)
+def test_an_n_whose_kernel_overflows_exits_2_naming_it(tmp_path, argv):
+    # the unscaled product of the kernel's spectra peaks near (1/dx)^(2n-1)
+    # at p = 2 and (1/dx)^n otherwise.  These once printed numpy's overflow
+    # and invalid-value RuntimeWarnings, then "values must be finite"
+    out = tmp_path / "o"
+    proc = run_process(argv + ["--out", str(out)])
+    n, dx = int(argv[argv.index("--n") + 1]), float(argv[argv.index("--dx") + 1])
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: n = {n} at dx = {dx} takes the update kernel beyond the float range\n"
+    assert os.listdir(out) == []
+
+
+def test_compare_at_an_n_whose_gengauss_objective_overflows_exits_2(tmp_path):
+    # a large M narrows the generalized Gaussian, which compare samples
+    # finer than --dx: its C_40 overflowed where the fixed point's did not
+    out = tmp_path / "o"
+    proc = run_process(["compare", "--n", "40", "--p", "3", "--M", "1e10", "--dx", "0.01", "--out", str(out)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: n = 40 at dx = ")
+    assert proc.stderr.endswith(" takes C_n beyond the float range\n") and proc.stderr.count("\n") == 1
+    assert os.listdir(out) == []
+
+
+def test_el_residual_at_an_n_whose_stationarity_kernel_overflows_exits_2(tmp_path):
+    # a feasible density is scored as it is, with no rescaling guard before C_n
+    csv = tmp_path / "flat.csv"
+    csv.write_text("x,value\n" + "".join(f"{k / 100!r},{1 / 2.01!r}\n" for k in range(-100, 101)))
+    M = read_csv(str(csv)).lp_mass(2)
+    out = tmp_path / "o"
+    proc = run_process(["el-residual", "--input", str(csv), "--n", "200", "--M", repr(M), "--out", str(out)])
+    assert proc.returncode == 2
+    assert proc.stderr == "error: n = 200 at dx = 0.01 takes the stationarity kernel beyond the float range\n"
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("value, n", [("1", "400"), ("0.25", "1500")])
+def test_el_residual_scores_an_n_whose_predicted_ratio_leaves_the_float_range(tmp_path, value, n):
+    # mass^(p(n-1)) of the rescaling's predicted ratio, which no command
+    # reads, once overflowed (mass 3) or underflowed to a division by 0
+    # (mass 3/4): a traceback, exit 1
+    csv = tmp_path / "three.csv"
+    csv.write_text(f"x,value\n-1,{value}\n0,{value}\n1,{value}\n")
+    out = tmp_path / "o"
+    proc = run_process(["el-residual", "--input", str(csv), "--M", "0.5", "--n", n, "--out", str(out)])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert os.path.exists(out / "el_residual.json")
+
+
+def test_el_residual_of_values_whose_power_overflows_exits_2_without_a_warning(tmp_path):
+    # lp_mass's 1e300^2 once printed numpy's overflow RuntimeWarning first
+    csv = tmp_path / "tall.csv"
+    csv.write_text("x,value\n-1,1e300\n0,1e300\n1,1e300\n")
+    out = tmp_path / "o"
+    proc = run_process(["el-residual", "--input", str(csv), "--M", "0.5", "--out", str(out)])
+    assert proc.returncode == 2
+    assert proc.stderr == "error: M = 0.5 at p = 2.0 rescales the density beyond the float range\n"
+    assert os.listdir(out) == []
+
+
 def test_out_naming_a_file_exits_2(tmp_path):
     path = tmp_path / "taken"
     path.write_text("")

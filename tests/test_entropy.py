@@ -150,6 +150,14 @@ class TestScaleToFeasible:
         assert ft.mass == pytest.approx(1.0, abs=1e-9)
         assert ft.lp_mass(2.0) == pytest.approx(0.4, abs=1e-9)
 
+    @pytest.mark.parametrize("value, n, ratio", [(1.0, 400, 0.0), (0.25, 1500, math.inf)])
+    def test_grid_ratio_saturates_beyond_the_float_range(self, value, n, ratio):
+        # mass 3 or 3/4 to the power p(n - 1) leaves the float range
+        g = GridFunction(-1.0, 1.0, np.full(3, value))
+        ft, lam, predicted = scale_to_feasible(g, ConstraintSet(M=0.5, p=2.0, n=n))
+        assert predicted == ratio
+        assert (ft, lam) == scale_to_feasible(g, ConstraintSet(M=0.5, p=2.0, n=2))[:2]
+
     def test_zero_mass_rejected(self):
         with pytest.raises((ZeroMass, ValueError)):
             scale_to_feasible(PiecewisePoly.zero(), ConstraintSet(M=0.5, p=2, n=2))
