@@ -94,11 +94,15 @@ def el_residual(q: GridFunction, n: int, p: float, M: float) -> ElResidualReport
     feasible set first; the dilation used is reported as fitted_scale.
     The objective I and the kernel come from one C_n: 4 transforms.  An n
     that takes C_n's unscaled product of spectra beyond the float range
-    raises ValueError naming n and dx, before numpy can warn.
+    raises ValueError naming n and dx, before numpy can warn; so do
+    samples whose sum leaves the float range.
     """
     constraints = ConstraintSet(M=M, p=p, n=n)
     fitted_scale = 1.0
-    mass = q.mass
+    try:
+        mass = q.mass
+    except OverflowError:  # exact_sum's total beyond the float range
+        raise ValueError("the density's samples sum beyond the float range") from None
     lpm = q.lp_mass(p)
     if abs(mass - 1.0) > 1e-6 or abs(lpm - M) > 1e-6 * max(1.0, abs(M)):
         try:

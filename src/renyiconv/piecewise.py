@@ -12,10 +12,12 @@ Horner's rule for evaluation, and for convolution the truncated-power
 shifts (von zur Gathen and Gerhard, ISSAC 1997): one shift per breakpoint
 of each distinct factor, of the difference of the pieces meeting there,
 and one per output cut.  A product of any number of factors, C_n among
-them, is one chain of jump products, _jump_chain.  It takes a window
-[lo, hi] and builds only that part: the terms that start at or beyond hi
-are never formed, and pieces below lo are summed through but not built;
-see PiecewisePoly.convolve.
+them, is _jump_chain: each distinct factor's jump form is taken to its
+multiplicity by the binomial theorem, one cut at a time, and each product
+of two order lists is one big-integer product (Kronecker substitution,
+_times).  It takes a window [lo, hi] and builds only that part: the terms
+that start at or beyond hi are never formed, and pieces below lo are
+summed through but not built; see PiecewisePoly.convolve.
 
 Nonnegativity is decided, not sampled: PiecewisePoly.assert_nonnegative
 takes each piece to [0, 1] and into Bernstein form with two integer Taylor
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from math import ceil, factorial, floor, inf, lcm, nan, prod
+from math import ceil, comb, factorial, floor, gcd, inf, lcm, nan, prod
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -270,11 +272,19 @@ def _dw_horner(form: tuple, xh: np.ndarray, xl: np.ndarray, out: np.ndarray) -> 
 
 def _taylor_shift(cs: list[int], s: int) -> list[int]:
     """Coefficients of sum_k cs[k] (y + s)^k for integers cs and s, by
-    repeated synthetic division (Horner's scheme as a Taylor shift)."""
-    cs = list(cs)
-    for i in range(len(cs) - 1):
-        for k in range(len(cs) - 2, i - 1, -1):
-            cs[k] += s * cs[k + 1]
+    repeated synthetic division (Horner's scheme as a Taylor shift), with
+    additions or subtractions alone at s = 1 or -1."""
+    cs, n = list(cs), len(cs)
+    for i in range(n - 1):
+        if s == 1:
+            for k in range(n - 2, i - 1, -1):
+                cs[k] += cs[k + 1]
+        elif s == -1:
+            for k in range(n - 2, i - 1, -1):
+                cs[k] -= cs[k + 1]
+        else:
+            for k in range(n - 2, i - 1, -1):
+                cs[k] += s * cs[k + 1]
     return cs
 
 
@@ -348,14 +358,15 @@ def _dips_below_zero(p: Polynomial, a: Fraction, b: Fraction) -> bool:
     return False
 
 
-def _jumps(f: "PiecewisePoly", scale: int) -> tuple[dict[int, list[int]], int]:
+def _jumps(f: "PiecewisePoly", scale: int) -> tuple[dict[int, list[int]], Fraction]:
     """Jump form of y -> f(y / scale), where scale * b is an integer at
     every breakpoint b.
 
     Returns ({scale * b: [u_0, ..., u_d]}, den): u_k / den is the jump at
     scale * b of the k-th derivative in y, with d the largest piece degree.
     The shift is linear, so each jump is one Taylor shift of the
-    difference of the pieces that meet at b.
+    difference of the pieces that meet at b.  The u's common factor goes
+    into the rational den, which narrows every product of them.
     """
     d = max(p.degree for p in f.pieces)
     den = lcm(*(c.denominator for p in f.pieces for c in p.coeffs))
@@ -367,38 +378,78 @@ def _jumps(f: "PiecewisePoly", scale: int) -> tuple[dict[int, list[int]], int]:
         shifted = _taylor_shift([c - q for c, q in zip(cur, prev)], beta)
         jumps[beta] = [factorial(k) * u for k, u in enumerate(shifted)]
         prev = cur
-    return jumps, den * scale ** d
+    g = gcd(*(u for js in jumps.values() for u in js))
+    return {b: [u // g for u in js] for b, js in jumps.items()}, Fraction(den * scale ** d, g)
+
+
+def _times(u: list[int], v: list[int]) -> list[int]:
+    """The orders of the product of two jump terms, t u(t) v(t): w_m sums
+    u_j v_k over j + k + 1 = m.  One big-integer product by Kronecker
+    substitution (von zur Gathen and Gerhard, Modern Computer Algebra, 8.4)
+    at t = 2^B, B = 8 nb, so that |w_m| < 2^(B-1): a digit goes in as bytes
+    less the borrow of a negative digit below it, and comes out plus it."""
+    nb = (max(map(abs, u)).bit_length() + max(map(abs, v)).bit_length() + min(len(u), len(v)).bit_length()) // 8 + 1
+    packed = []
+    for cs in (u, v):
+        raw, borrow = bytearray(), 0
+        for c in cs:
+            raw += (c - borrow).to_bytes(nb, "little", signed=True)
+            borrow = c - borrow < 0
+        packed.append(int.from_bytes(raw, "little", signed=True))
+    raw = (packed[0] * packed[1]).to_bytes(nb * (len(u) + len(v) - 1), "little", signed=True)
+    return [0] + [int.from_bytes(raw[i:i + nb], "little", signed=True) + (i > 0 and raw[i - 1] >> 7)
+                  for i in range(0, len(raw), nb)]
+
+
+def _power(jumps: dict[int, list[int]], k: int, limit: float, start: dict) -> dict[int, list[int]]:
+    """start times the k-th power of a jump form, at the cuts below limit.
+
+    Cut by cut, a_1 < a_2 < ..., by the binomial theorem under _times: with
+    P the cuts before a, (P + z^a J_a)^m = sum_j C(m, j) P^(m-j) J_a^j, with
+    J_a^j at j a.  The m-th power of the cuts up to a_i is yet to meet k - m
+    cuts from a_(i+1) on, so no cut c of it with c + (k - m) a_(i+1) >= limit
+    is formed.
+    """
+    cuts = sorted(jumps)
+    pows = [start] + [{}] * k  # pows[m]: start times the m-th power of the cuts so far
+    for i, a in enumerate(cuts):
+        ups = [None, jumps[a]]  # ups[j]: J_a^j, made when first needed
+        for m in range(k, 0, -1) if i + 1 < len(cuts) else (k,):  # pows[m - j] is still the old one
+            reach = limit - (k - m) * cuts[i + 1] if m < k else limit
+            out = {}
+            for j in range(m + 1):
+                for b, u in pows[m - j].items():
+                    if b + j * a < reach:
+                        while len(ups) <= j:
+                            ups.append(_times(ups[-1], jumps[a]))
+                        w, c = u if j == 0 else ups[j] if u is None else _times(u, ups[j]), comb(m, j)
+                        old = out.get(b + j * a, [0] * len(w))
+                        out[b + j * a] = [x + c * y for x, y in zip(old, w)]
+            pows[m] = out
+    return pows[k]
 
 
 def _jump_chain(factors: tuple, scale: int, w1: float) -> tuple[dict[int, list[int]], int]:
     """Jumps of the convolution of the factors in y = scale * x, where
     scale * b is an integer at every breakpoint b of every factor.
 
-    One _jumps form per distinct factor; the forms are multiplied left to
-    right, order m at s = a + b summing J_{a,j} J_{b,k} over j + k + 1 = m.
-    A cut s is dropped when s plus the leftmost cuts of the factors still
-    to come reaches w1: every term it feeds starts at or beyond w1.
-    Returns ({s: [c_0, ..., c_top]}, den), Taylor-normalized: the product
+    One _jumps form per distinct factor, each taken to its multiplicity by
+    _power in turn.  A cut s is dropped when s plus the leftmost cuts of the
+    factors still to come reaches w1: every term it feeds starts at or beyond
+    w1.  Returns ({s: [c_0, ..., c_top]}, den), Taylor-normalized: the product
     is sum over cuts s < y of sum_m c_m (y - s)^m / den, with dx = dy / scale.
     """
-    forms = {key: _jumps(f, scale) for key, f in {id(f): f for f in factors}.items()}
-    chain = [forms[id(f)][0] for f in factors]
-    acc, width = chain[0], len(chain[0][min(chain[0])])
-    for k, jg in enumerate(chain[1:], 2):  # acc becomes the first k factors' jumps, orders below width
-        prev, acc, width = acc, {}, width + len(jg[min(jg)])
-        limit = w1 - sum(min(j) for j in chain[k:])
-        for a, uf in prev.items():
-            for b, ug in jg.items():  # b increases: the rest start at or beyond limit
-                if a + b >= limit:
-                    break
-                out = acc.setdefault(a + b, [0] * width)
-                for j, u in enumerate(uf):
-                    if u:
-                        for m, v in enumerate(ug, j + 1):
-                            out[m] += u * v
-    norm = [factorial(width - 1) // factorial(m) for m in range(width)]
-    den = factorial(width - 1) * scale ** (len(factors) - 1) * prod(forms[id(f)][1] for f in factors)
-    return {s: [u * c for u, c in zip(js, norm)] for s, js in acc.items()}, den
+    forms = [(_jumps(f, scale), sum(g is f for g in factors)) for f in {id(f): f for f in factors}.values()]
+    lows = [k * min(jumps) for (jumps, _), k in forms]
+    acc = {0: None}  # None is the unit
+    for i, ((jumps, _), k) in enumerate(forms):
+        acc = _power(jumps, k, w1 - sum(lows[i + 1:]), acc)
+    width = sum(k * len(jumps[min(jumps)]) for (jumps, _), k in forms)
+    norm = [1] * width  # norm[m] = (width - 1)! / m!
+    for m in range(width - 1, 0, -1):
+        norm[m - 1] = norm[m] * m
+    den = Fraction(norm[0] * scale ** (len(factors) - 1)) * prod(d ** k for (_, d), k in forms)
+    return {s: [u * c * den.denominator for u, c in zip(js, norm)] for s, js in acc.items()}, den.numerator
 
 
 class PiecewisePoly:
@@ -494,19 +545,21 @@ class PiecewisePoly:
 
         A node is a double word xh + xl: for |m|, den <= 2^53, xh = RN(m / den)
         and xl the float of (m - xh den) / den, whose numerator TwoProduct
-        makes exactly (at a power-of-two den, xh = m / den and xl = 0); any
-        other node is NaN, which never certifies.  _dw_horner runs a piece's
-        _double_words at up to 2^12 nodes at once and proves each rounding;
-        the rest take _exact_float, the piece's exact value rounded once.
+        makes exactly; at a power-of-two den, xh = m / den and xl = 0
+        without it.  Any other node is NaN, which never certifies.
+        _dw_horner runs a piece's _double_words at up to 2^12 nodes at once
+        and proves each rounding; the rest take _exact_float, the piece's
+        exact value rounded once.
         """
         m = np.asarray(numerators)
         if np.any(m[1:] < m[:-1]):
             raise ValueError("lattice nodes must be non-decreasing")
         fits = (np.abs(m) <= 2 ** 53) & (den <= 2 ** 53)
         mf, d = np.where(fits, m, nan).astype(float), float(min(den, 2 ** 53))
-        xh = mf / d  # NaN beyond 2^53: never certified
-        p, e = _two_prod(xh, d, _split(d))
-        xl = (mf - p - e) / d
+        xh, xl = mf / d, np.zeros(m.size)  # xh is NaN beyond 2^53: never certified
+        if den & (den - 1):
+            p, e = _two_prod(xh, d, _split(d))
+            xl = (mf - p - e) / d
         bps, out = self.breakpoints, np.zeros(m.size)
         cuts = [bisect_left(m, ceil(b * den)) for b in bps[:-1]] + [bisect_right(m, floor(bps[-1] * den))]
         for i, piece in enumerate(self.pieces):
@@ -634,12 +687,13 @@ class PiecewisePoly:
             (x-a)_+^j/j! * (x-b)_+^k/k! = (x-a-b)_+^(j+k+1) / (j+k+1)!
 
         the jump of order m of f * g at s is the sum of J_{a,j} J_{b,k} over
-        a + b = s and j + k + 1 = m.  _jump_chain multiplies the factors'
-        jump forms left to right, one form per distinct factor; one integer
-        Taylor shift per cut turns the product's jumps back into monomials,
-        and a running sum over the cuts gives the pieces.  The variable is
-        scaled so that every breakpoint and both window ends are integers:
-        all of it is integer arithmetic over one denominator.
+        a + b = s and j + k + 1 = m.  _jump_chain makes one form per
+        distinct factor and takes it to its multiplicity by the binomial
+        theorem, cut by cut; one integer Taylor shift per cut turns the
+        product's jumps back into monomials, and a running sum over the
+        cuts gives the pieces.  The variable is scaled so that every
+        breakpoint and both window ends are integers: all of it is integer
+        arithmetic over one denominator.
 
         Only the window is built.  A term at s >= hi is zero below hi, so no
         cut that reaches hi, even with the leftmost cuts of the factors

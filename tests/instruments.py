@@ -13,7 +13,11 @@ no renyiconv command runs.
   substitution x -> a x + b, which PiecewisePoly.dilate is checked
   against, and restriction, which the windowed convolution is checked
   against;
-- the pointwise value of a generalized Gaussian, for quadrature.
+- the pointwise value of a generalized Gaussian, for quadrature;
+- the exact jump chain by pairs: the factors' jump forms multiplied left
+  to right, with a double loop over each pair of order lists, which the
+  binomial power and the Kronecker product of piecewise._jump_chain are
+  checked against.
 
 They reuse renyiconv's own spacing, lattice and convolution code rather
 than carrying copies of it.
@@ -26,7 +30,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from renyiconv import grid
+from renyiconv import grid, piecewise
 from renyiconv.entropy import ConstraintSet, GeneralizedGaussian, objective_I, scale_to_feasible
 from renyiconv.grid import GridFunction
 from renyiconv.piecewise import PiecewisePoly, Polynomial, RationalLike, as_fraction
@@ -220,6 +224,37 @@ def translate(f: PiecewisePoly, shift: RationalLike) -> PiecewisePoly:
         [b + shift for b in f.breakpoints],
         [compose_linear(p, 1, -shift) for p in f.pieces],
     )
+
+
+def schoolbook_times(u: list[int], v: list[int]) -> list[int]:
+    """The order list of two jump terms by the double loop: w_m sums u_j v_k
+    over j + k + 1 = m."""
+    out = [0] * (len(u) + len(v))
+    for j, a in enumerate(u):
+        for m, b in enumerate(v, j + 1):
+            out[m] += a * b
+    return out
+
+
+def pairwise_jump_chain(factors: tuple, scale: int, w1: float) -> tuple[dict[int, list[int]], int]:
+    """piecewise._jump_chain by the pairwise chain: the n factors' jump forms
+    multiplied left to right, one schoolbook_times per pair of cuts, a cut
+    dropped once it plus the leftmost cuts of the factors still to come
+    reaches w1."""
+    chain = [piecewise._jumps(f, scale) for f in factors]
+    acc = chain[0][0]
+    for k, (jg, _) in enumerate(chain[1:], 2):
+        prev, acc = acc, {}
+        limit = w1 - sum(min(j) for j, _ in chain[k:])
+        for a, uf in prev.items():
+            for b, ug in sorted(jg.items()):
+                if a + b < limit:
+                    w, old = schoolbook_times(uf, ug), acc.get(a + b)
+                    acc[a + b] = w if old is None else [x + y for x, y in zip(old, w)]
+    width = sum(len(j[min(j)]) for j, _ in chain)
+    norm = [math.factorial(width - 1) // math.factorial(m) for m in range(width)]
+    den = math.factorial(width - 1) * scale ** (len(factors) - 1) * math.prod(d for _, d in chain)
+    return {s: [u * c * den.denominator for u, c in zip(js, norm)] for s, js in acc.items()}, den.numerator
 
 
 def gengauss_value(gg: GeneralizedGaussian, x: float) -> float:

@@ -324,6 +324,17 @@ def test_el_residual_of_values_whose_power_overflows_exits_2_without_a_warning(t
     assert os.listdir(out) == []
 
 
+def test_el_residual_of_values_whose_sum_overflows_exits_2(tmp_path):
+    # grid.exact_sum's OverflowError once ended in a traceback, exit 1
+    csv = tmp_path / "huge.csv"
+    csv.write_text("x,value\n-1,1e308\n0,1e308\n1,1e308\n")
+    out = tmp_path / "o"
+    proc = run_process(["el-residual", "--input", str(csv), "--M", "0.5", "--out", str(out)])
+    assert proc.returncode == 2
+    assert proc.stderr == "error: the density's samples sum beyond the float range\n"
+    assert os.listdir(out) == []
+
+
 def test_out_naming_a_file_exits_2(tmp_path):
     path = tmp_path / "taken"
     path.write_text("")

@@ -3,13 +3,13 @@ serialization."""
 import functools
 import sys
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import ceil, floor, inf, lcm, pi, sqrt
 
 import numpy as np
 import pytest
 
 from renyiconv import cli, grid, piecewise
-from instruments import compose_linear, reflect, restrict, translate
+from instruments import compose_linear, pairwise_jump_chain, reflect, restrict, schoolbook_times, translate
 from renyiconv.entropy import exact_gengauss_p2
 from renyiconv.euler_lagrange import counterexample_check
 from renyiconv.piecewise import (
@@ -53,17 +53,27 @@ def exact_iterates():
     return tuple(fs)
 
 
+def _calls(monkeypatch, name: str) -> list:
+    count, fn = [0], getattr(piecewise, name)
+
+    def counted(*args):
+        count[0] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(piecewise, name, counted)
+    return count
+
+
 @pytest.fixture
 def shifts(monkeypatch):
     """The number of Taylor shifts made during the test, in a list."""
-    count, shift = [0], piecewise._taylor_shift
+    return _calls(monkeypatch, "_taylor_shift")
 
-    def counted(cs, s):
-        count[0] += 1
-        return shift(cs, s)
 
-    monkeypatch.setattr(piecewise, "_taylor_shift", counted)
-    return count
+@pytest.fixture
+def products(monkeypatch):
+    """The number of order-list products made during the test, in a list."""
+    return _calls(monkeypatch, "_times")
 
 
 def fraction_horner(p, x):
@@ -508,9 +518,9 @@ class TestConvolutionPowerAt:
             f = rand_piecewise(rng, 3)
             for n in (2, 3, 4):
                 full = f.convolution_power(n)
-                s0, s1 = full.support
-                xs = list(full.breakpoints) + [s0 - 1, s1 + Fraction(1, 3), Fraction(1, 7), Fraction(-3, 7),
-                                               (s0 + s1) / 2 + Fraction(1, 11)]
+                (s0, s1), cuts = full.support, full.breakpoints
+                xs = list(cuts) + [(a + b) / 2 for a, b in zip(cuts, cuts[1:])] + [
+                    s0 - 1, s1 + Fraction(1, 3), Fraction(1, 7), Fraction(-3, 7), (s0 + s1) / 2 + Fraction(1, 11)]
                 assert f.convolution_power_at(n, xs) == [full.eval(x) for x in xs], (f, n)
                 # one point at a time: the cuts skipped depend on max(xs)
                 for x in (s0, s1, Fraction(1, 7), full.breakpoints[len(full.breakpoints) // 2]):
@@ -543,6 +553,103 @@ class TestConvolutionPowerAt:
         solution = run_fixed_point(SolverConfig(mode="exact"))
         assert solution.f == fs[4]
         assert shifts[0] - updates == 2
+
+
+def rand_ints(rng, size, max_bits):
+    """size random integers of up to max_bits bits, either sign; a third of them are 0."""
+    out = []
+    for _ in range(size):
+        bits = int(rng.integers(0, max_bits + 1))
+        mag = int.from_bytes(rng.bytes(bits // 8 + 1), "little") % (1 << bits)
+        out.append(0 if rng.random() < 1 / 3 else int(rng.choice([-1, 1])) * mag)
+    return out
+
+
+class TestJumpChain:
+    """_jump_chain takes each distinct factor's jump form to its
+    multiplicity by the binomial theorem, and makes each product of two
+    order lists one big-integer product (_times, Kronecker substitution):
+    the jumps of the pairwise left-to-right chain, exactly."""
+
+    @pytest.mark.parametrize("u, v", [
+        ([5], [-3]),
+        ([0], [0]),
+        ([0, 4, 0], [0, 0, -1, 0]),  # zeros at the ends and inside
+        ([3, 0, 0, -7], [2, 0, 5]),
+        ([-1, -2, -3, -4], [-5, -6]),  # all negative
+        ([-(1 << 500) + 1, 3, -(1 << 499)], [1, -1, 1, -1, 1]),  # very unequal bit lengths
+        ([1] * 40, [-(1 << 2000)]),
+    ])
+    def test_kronecker_matches_schoolbook(self, u, v):
+        assert piecewise._times(u, v) == schoolbook_times(u, v)
+        assert piecewise._times(v, u) == schoolbook_times(v, u)
+
+    def test_kronecker_at_the_digit_edges(self):
+        # u_j = +-2^(b-1) and 2^b - 1 around every byte boundary: the widest
+        # sums the digit width allows, and negative digits everywhere, so
+        # the borrow runs in and out
+        for b in range(1, 80):
+            for size in (1, 2, 3, 7, 8, 9, 16):
+                edge = [(-1) ** j * (1 << (b - 1)) for j in range(size)]
+                full = [(1 << b) - 1] * size
+                for u, v in ((edge, edge), (full, full), (full, [-c for c in full]), (edge, full[:1])):
+                    assert piecewise._times(u, v) == schoolbook_times(u, v), (b, size)
+
+    def test_kronecker_matches_schoolbook_on_random_lists(self, rng, trials):
+        for _ in range(trials):
+            u = rand_ints(rng, int(rng.integers(1, 30)), int(rng.integers(0, 400)))
+            v = rand_ints(rng, int(rng.integers(1, 30)), int(rng.integers(0, 400)))
+            assert piecewise._times(u, v) == schoolbook_times(u, v), (u, v)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_power_matches_the_pairwise_chain(self, rng, n):
+        for _ in range(12):
+            f = rand_piecewise(rng, 2)
+            if f.is_zero():
+                continue
+            scale = lcm(*(b.denominator for b in f.breakpoints))
+            s0, s1 = (n * b * scale for b in f.support)
+            for w1 in (inf, s1, s0 + 1, int(rng.integers(s0 + 1, s1 + 1)), s0):
+                assert piecewise._jump_chain((f,) * n, scale, w1) == pairwise_jump_chain((f,) * n, scale, w1), (f, n, w1)
+
+    def test_distinct_factors_match_the_pairwise_chain(self, rng):
+        for _ in range(12):
+            f, g = rand_piecewise(rng, 2), rand_piecewise(rng, 2)
+            if f.is_zero() or g.is_zero():
+                continue
+            scale = lcm(*(b.denominator for b in f.breakpoints + g.breakpoints))
+            for factors in ((f, g), (f, g, f), (g, f, f, g, g)):
+                s0, s1 = (sum(h.support[i] for h in factors) * scale for i in (0, 1))
+                for w1 in (inf, int(rng.integers(s0 + 1, s1 + 1))):
+                    assert piecewise._jump_chain(factors, scale, w1) == pairwise_jump_chain(factors, scale, w1)
+
+    def test_c64_of_fc_at_0(self):
+        # f_c = (1 - x^2)(1 - c x^2) with c = 5/(8n), n = 32; even, so
+        # C_64(f_c)(0) is the integral of C_32(f_c)^2
+        c = Fraction(5, 8 * 32)
+        f = PiecewisePoly.single(Polynomial([1, 0, -1 - c, 0, c]), -1, 1)
+        acc, den = pairwise_jump_chain((f,) * 64, 1, 0)
+        want = Fraction(sum(sum(u * (-s) ** m for m, u in enumerate(us)) for s, us in acc.items()), den)
+        assert f.convolution_power_at(64, [0]) == [want]
+        # and within 0.5% of the central limit, whose first Edgeworth term,
+        # excess kurtosis / (8 * 64), is -0.17% here
+        mass = f.mass
+        var = (f * PiecewisePoly.single(Polynomial([0, 0, 1]), -1, 1)).mass / mass
+        assert abs(float(want / mass ** 64) * sqrt(2 * pi * 64 * float(var)) - 1) < 0.005
+
+    def test_c3_of_one_piece_at_0_and_1_takes_three_products(self, products):
+        # J_-1^2, J_-1^3 and J_-1^2 J_1, where the pairwise chain took 6
+        for f in (indicator(), exact_iterates()[4]):
+            products[0] = 0
+            f.convolution_power_at(3, (0, 1))
+            assert products[0] == 3
+
+    @pytest.mark.parametrize("s", [1, -1, 2, -3, 0])
+    def test_taylor_shift(self, rng, s):
+        for _ in range(20):
+            cs = rand_ints(rng, int(rng.integers(1, 12)), 60)
+            want = sum((Polynomial([s, 1]).pow_int(k) * c for k, c in enumerate(cs)), Polynomial())
+            assert piecewise._taylor_shift(cs, s) == [int(c) for c in want.coeffs] + [0] * (len(cs) - len(want.coeffs))
 
 
 def evenness_oracle(f):
