@@ -5,8 +5,10 @@ All quantities are for densities on the line (d = 1).  A density is a
 PiecewisePoly or a GridFunction; both answer mass, lp_mass(p),
 convolution_power, dilate and scaling by a constant, so every function
 here has one body.
-A piecewise polynomial gives exact Fraction results and needs an integer
-exponent p; a grid gives floats for any real p >= 1.
+A piecewise polynomial gives exact Fraction results at p = 2, where the
+integral of a square is one point value of a convolution (p = 1 is its
+mass; any other p raises ValueError); a grid gives floats for any real
+p >= 1.
 """
 from __future__ import annotations
 
@@ -87,7 +89,10 @@ def objective_I(f: Density, n: int, p) -> Union[Fraction, float]:
     self convolution.
 
     A piecewise f returns a Fraction, which is simultaneously the exact
-    rational value and a usable real number; a grid f returns a float,
+    rational value and a usable real number: at p = 2 it is C_n(f) built
+    with convolve, decided nonnegative, and its integral of C_n(f)^2 read
+    as the point value (C_n(f) * T C_n(f))(0); any other p raises
+    ValueError naming it (lp_mass).  A grid f returns a float,
     from C_n made in one product at the update kernels' transform length.
     A grid whose unscaled product of n spectra leaves the float range
     raises ValueError naming n and dx, before numpy can warn.
@@ -106,29 +111,6 @@ class FeasibleScaling(NamedTuple):
     predicted_ratio: Union[Fraction, float]
 
 
-def _integer_kth_root(m: int, k: int) -> int:
-    """Floor of the k-th root of m >= 0, pure integer Newton iteration."""
-    if m < 2:
-        return m
-    x = 1 << ((m.bit_length() + k - 1) // k)
-    while True:
-        y = ((k - 1) * x + m // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
-
-
-def _nth_root_fraction(r: Fraction, k: int) -> Union[Fraction, None]:
-    """Exact rational k-th root of r > 0, or None if irrational."""
-    if k == 1:
-        return r
-    num = _integer_kth_root(r.numerator, k)
-    den = _integer_kth_root(r.denominator, k)
-    if num ** k != r.numerator or den ** k != r.denominator:
-        return None
-    return Fraction(num, den)
-
-
 def scale_to_feasible(f: Density, constraints: ConstraintSet) -> FeasibleScaling:
     """Normalize f into the feasible set by dilation and mass scaling.
 
@@ -140,8 +122,8 @@ def scale_to_feasible(f: Density, constraints: ConstraintSet) -> FeasibleScaling
     with predicted_ratio = M / (||f||_p^p * ||f||_1^(p(n-1))), which a grid
     f saturates at 0 or inf beyond the float range.
 
-    A piecewise f (integer p) gets an exact rational lam when the root is
-    rational and the float root as a Fraction otherwise; a grid f gets
+    A piecewise f takes p = 2 (lp_mass raises ValueError naming any other
+    p), so its lam is the exact rational ratio itself; a grid f gets
     float arithmetic throughout, and a ValueError naming M and p when lam
     or the rescaled samples would leave the float range.
     """
@@ -152,12 +134,9 @@ def scale_to_feasible(f: Density, constraints: ConstraintSet) -> FeasibleScaling
     lpm = f.lp_mass(p)
     if lpm <= 0:
         raise DegenerateDensity("||f||_p^p must be positive")
-    if isinstance(lpm, Fraction):
-        M, p = Fraction(M), int(p)
-        ratio = lpm / (M * mass ** p)
-        lam = _nth_root_fraction(ratio, p - 1)
-        if lam is None:
-            lam = Fraction(float(ratio) ** (1.0 / (p - 1)))
+    if isinstance(lpm, Fraction):  # an exact p is 2, where 1/(p-1) = 1
+        M, p = Fraction(M), 2
+        lam = lpm / (M * mass ** p)
     else:
         M, p = float(M), float(p)
         try:

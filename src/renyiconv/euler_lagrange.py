@@ -137,10 +137,12 @@ def el_residual(q: GridFunction, n: int, p: float, M: float) -> ElResidualReport
 
 def _ls_affine_fit(K: PiecewisePoly, g: PiecewisePoly) -> tuple[Fraction, Fraction]:
     """Exact least-squares fit of K ~ a g + b over [-1, 1], for K given
-    on [-1, 1] only."""
-    kg = (K * g).mass
+    on [-1, 1] only.  The integrals of K g and g^2 are the point values
+    (K * Tg)(0) and (g * Tg)(0), T the reflection."""
+    tg = g.reflect()
+    kg = K.convolve_at(tg, xs=(0,))[0]
     k1 = K.mass
-    gg = (g * g).mass
+    gg = g.convolve_at(tg, xs=(0,))[0]
     g1 = g.mass
     length = 2
     det = gg * length - g1 * g1

@@ -1,8 +1,8 @@
 """Exact algebra of compactly supported piecewise polynomials over rationals.
 
 All coefficients and breakpoints are `fractions.Fraction`; every operation
-(evaluation, arithmetic, convolution, differentiation, integration, norms)
-is carried out without any floating point, so results are reproducible
+(evaluation, sums and scaling, convolution, integration, norms) is
+carried out without any floating point, so results are reproducible
 bit-for-bit.  Values are immutable after construction and all operations
 are pure functions.
 
@@ -17,7 +17,11 @@ multiplicity by the binomial theorem, one cut at a time, and each product
 of two order lists is one big-integer product (Kronecker substitution,
 _times).  It takes a window [lo, hi] and builds only that part: the terms
 that start at or beyond hi are never formed, and pieces below lo are
-summed through but not built; see PiecewisePoly.convolve.
+summed through but not built; see PiecewisePoly.convolve.  Point values
+of a product come from the same jumps with no piece built (convolve_at),
+and so does the integral of a product g h, the value (g * Th)(0) with T
+the reflection: lp_mass at p = 2 is one, and no polynomial is multiplied
+by another anywhere.
 
 Nonnegativity is decided, not sampled: PiecewisePoly.assert_nonnegative
 takes each piece to [0, 1] and into Bernstein form with two integer Taylor
@@ -153,34 +157,12 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
-    def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, Polynomial):
-            if self.is_zero() or other.is_zero():
-                return Polynomial()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Polynomial(out)
+    def __mul__(self, other: RationalLike) -> "Polynomial":
+        """Scaling by an exact rational; a product of polynomials raises TypeError."""
         c = as_fraction(other)
         return Polynomial([c * a for a in self.coeffs])
 
     __rmul__ = __mul__
-
-    def pow_int(self, m: int) -> "Polynomial":
-        if m < 0:
-            raise ValueError("negative power")
-        result = Polynomial([1])
-        base = self
-        while m:
-            if m & 1:
-                result = result * base
-            base = base * base
-            m >>= 1
-        return result
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def integrate(self, lo: RationalLike, hi: RationalLike) -> Fraction:
         """Exact integral over [lo, hi], by the primitive with zero constant term."""
@@ -311,23 +293,39 @@ def _sign_changes(cs: list[int]) -> int:
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def _divmod(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Quotient and remainder of f by a nonzero g."""
-    r, lead = list(f.coeffs), g.coeffs[-1]
-    q = [Fraction(0)] * max(len(r) - g.degree, 0)
+def _primitive(cs: list[int]) -> list[int]:
+    """cs over their content, the gcd of the entries (not all zero)."""
+    g = gcd(*cs)
+    return [c // g for c in cs]
+
+
+def _square_free(nums: list[int]) -> list[int]:
+    """The integer polynomial nums (lowest degree first) over gcd(nums,
+    nums'), up to a constant factor: its roots, each simple.
+
+    The gcd is the last entry of the primitive remainder sequence: each
+    pseudo-remainder is divided by its content, so the integers grow about
+    linearly along the sequence, not exponentially, and no Fraction is
+    made (von zur Gathen and Gerhard, Modern Computer Algebra, 6.3).  The
+    gcd is primitive, so it divides the primitive nums in integers (Gauss's
+    lemma): one exact integer division a quotient term.
+    """
+    a, b = _primitive(nums), _primitive([k * c for k, c in enumerate(nums)][1:])
+    while b:
+        r = list(a)
+        for k in range(len(a) - len(b), -1, -1):  # r <- lead(b) r - top(r) x^k b
+            top, r = r[-1], [c * b[-1] for c in r[:-1]]
+            for j, c in enumerate(b[:-1], k):
+                r[j] -= top * c
+        while r and not r[-1]:
+            r.pop()
+        a, b = b, r and _primitive(r)
+    r, q = _primitive(nums), [0] * (len(nums) - len(a) + 1)
     for k in reversed(range(len(q))):
-        c = q[k] = r[k + g.degree] / lead
-        for j, gc in enumerate(g.coeffs):
-            r[k + j] -= c * gc
-    return Polynomial(q), Polynomial(r)
-
-
-def _square_free(p: Polynomial) -> Polynomial:
-    """p / gcd(p, p'): the roots of p, each simple."""
-    g, h = p, p.derivative()
-    while not h.is_zero():
-        g, h = h, _divmod(g, h)[1]
-    return _divmod(p, g)[0]
+        q[k] = r.pop() // a[-1]
+        for j, c in enumerate(a[:-1], k):
+            r[j] -= q[k] * c
+    return q
 
 
 def _dips_below_zero(p: Polynomial, a: Fraction, b: Fraction) -> bool:
@@ -342,7 +340,7 @@ def _dips_below_zero(p: Polynomial, a: Fraction, b: Fraction) -> bool:
     root.  Every other part is split at its midpoint, which is evaluated.
     Bisection ends, as s has simple roots only.
     """
-    s = _square_free(p)._integers()[0]
+    s = _square_free(p._integers()[0])
     parts = [(a, b, p(a) == 0, p(b) == 0)]
     while parts:
         lo, hi, zlo, zhi = parts.pop()
@@ -606,19 +604,19 @@ class PiecewisePoly:
     def __sub__(self, other: "PiecewisePoly") -> "PiecewisePoly":
         return self._pointwise(other, lambda a, b: a - b)
 
-    def __mul__(self, other):
-        if isinstance(other, PiecewisePoly):
-            return self._pointwise(other, lambda a, b: a * b)
+    def __mul__(self, other: RationalLike) -> "PiecewisePoly":
+        """Scaling by an exact rational; a product of two PiecewisePolys
+        raises TypeError (the integral of one is a point value, convolve_at)."""
         c = as_fraction(other)
         return PiecewisePoly(self.breakpoints, [p * c for p in self.pieces])
 
     __rmul__ = __mul__
 
-    def power_int(self, m: int) -> "PiecewisePoly":
-        """Pointwise integer power, m >= 1."""
-        if m < 1:
-            raise ValueError("power_int requires m >= 1")
-        return PiecewisePoly(self.breakpoints, [p.pow_int(m) for p in self.pieces])
+    def reflect(self) -> "PiecewisePoly":
+        """x -> f(-x): the breakpoints and the odd coefficients change sign."""
+        return PiecewisePoly([-b for b in reversed(self.breakpoints)],
+                             [Polynomial([-c if k % 2 else c for k, c in enumerate(p.coeffs)])
+                              for p in reversed(self.pieces)])
 
     def dilate(self, lam: RationalLike) -> "PiecewisePoly":
         """Return x -> self(x / lam) for rational lam > 0: coefficient c_k
@@ -657,18 +655,18 @@ class PiecewisePoly:
                 raise NegativeDensity("negative interior minimum detected")
 
     def lp_mass(self, p) -> Fraction:
-        """Exact integral of f^p over the support, for an integer-valued
-        p >= 1 (int, Fraction or float); other exponents raise ValueError.
+        """Exact integral of f^p over the support, for p = 1 or 2 (int,
+        Fraction or float); any other p raises ValueError naming it.
 
         Requires f >= 0 on its support (this is the p-th power of the
         L^p norm of a density): assert_nonnegative decides it exactly first,
-        and raises NegativeDensity otherwise.
+        and raises NegativeDensity otherwise.  At p = 2 the integral of f f
+        is the point value (f * Tf)(0), T the reflection (convolve_at).
         """
-        k = int(p)
-        if k != p or k < 1:
-            raise ValueError(f"exact p-mass requires an integer p >= 1, got {p}")
+        if p not in (1, 2):
+            raise ValueError(f"exact p-mass needs the integer p = 1 or 2, got {p}")
         self.assert_nonnegative()
-        return self.mass if k == 1 else self.power_int(k).mass
+        return self.mass if p == 1 else self.convolve_at(self.reflect(), xs=(0,))[0]
 
     # ------------------------------------------------------------------
     # convolution
@@ -736,15 +734,20 @@ class PiecewisePoly:
             raise ValueError("convolution_power takes n >= 1, and a window only for n >= 2")
         return self if n == 1 else self.convolve(*[self] * (n - 1), lo=lo, hi=hi)
 
-    def convolution_power_at(self, n: int, xs: Iterable[RationalLike]) -> list[Fraction]:
-        """f.convolution_power(n).eval(x) at each rational x, with no piece
-        built: the jumps of convolve's chain of n factors f, with no cut
-        that reaches max(xs).  C_n (n >= 2) is continuous, so its value at
-        y = scale * x is sum_{s < y} sum_m c_m (y - s)^m / den."""
-        xs = [as_fraction(x) for x in xs]
-        if n < 2 or not xs or self.is_zero():
-            return [self.convolution_power(n).eval(x) for x in xs]
-        scale = lcm(*(q.denominator for q in self.breakpoints + tuple(xs)))
+    def convolve_at(self, other: "PiecewisePoly", *more: "PiecewisePoly",
+                    xs: Iterable[RationalLike]) -> list[Fraction]:
+        """self.convolve(other, *more).eval(x) at each rational x, with no
+        piece built: the jumps of convolve's chain, with no cut that reaches
+        max(xs).  A product of two or more factors is continuous, so its
+        value at y = scale * x is sum_{s < y} sum_m c_m (y - s)^m / den.
+
+        The integral of a product g h is (g * Th)(0), with Th = h.reflect():
+        lp_mass and the least-squares fit of the counterexample take it so.
+        """
+        factors, xs = (self, other) + more, [as_fraction(x) for x in xs]
+        if not xs or any(h.is_zero() for h in factors):
+            return [Fraction(0)] * len(xs)
+        scale = lcm(*(b.denominator for h in factors for b in h.breakpoints), *(x.denominator for x in xs))
         ys = [x.numerator * (scale // x.denominator) for x in xs]
-        acc, den = _jump_chain((self,) * n, scale, max(ys))
+        acc, den = _jump_chain(factors, scale, max(ys))
         return [Fraction(sum(_horner(cs[::-1], y - s) for s, cs in acc.items() if s < y), den) for y in ys]

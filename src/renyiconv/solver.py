@@ -246,7 +246,7 @@ def run_fixed_point(config: SolverConfig) -> FixedPointSolution:
     # affine fit at the final iterate; the exact lane's residual is against
     # C_3 of the samples as power-of-two pairs, whose bits solution.json pins
     K = _grid.convolve_grid(_grid.convolve_grid(fs, fs), fs) if exact else _kernel_of(f, config.n, config.p)
-    k0, k1 = f.convolution_power_at(2 * config.n - 1, (0, 1)) if exact else (K(0), K(1))
+    k0, k1 = f.convolve_at(*[f] * (2 * config.n - 2), xs=(0, 1)) if exact else (K(0), K(1))
     a, b = k0 - k1, k1
     el_sup = _affine_residual_sup(fs, K, float(a), float(b), config.p)
     return FixedPointSolution(

@@ -9,10 +9,17 @@ no renyiconv command runs.
 - the n = 2, p = 2 consistency of a fixed point with the stationarity
   coefficients (acceptance criterion 3);
 - exact reflection and translation of a PiecewisePoly, which the
-  pointwise convolution oracle builds g(x - t) from, through the linear
+  pointwise convolution oracle builds g(x - t) from (the reflection is
+  also the reference for PiecewisePoly.reflect), through the linear
   substitution x -> a x + b, which PiecewisePoly.dilate is checked
   against, and restriction, which the windowed convolution is checked
   against;
+- products and powers of polynomials by the double loop, and pointwise
+  products and powers of a PiecewisePoly built from them: the tests'
+  polynomial builders, and the references that the point-value integrals
+  of PiecewisePoly.convolve_at and lp_mass are checked against;
+- the square-free part by Euclid over Fractions, which the primitive
+  integer remainder sequence of piecewise._square_free is checked against;
 - the pointwise value of a generalized Gaussian, for quadrature;
 - the exact jump chain by pairs: the factors' jump forms multiplied left
   to right, with a double loop over each pair of order lists, which the
@@ -26,6 +33,7 @@ from __future__ import annotations
 
 import math
 import sys
+from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -191,17 +199,67 @@ def pair_chain(g: GridFunction, n: int) -> GridFunction:
     return out
 
 
+def poly_product(p: Polynomial, q: Polynomial) -> Polynomial:
+    """p q by the double loop over coefficient pairs."""
+    out = [Fraction(0)] * max(len(p.coeffs) + len(q.coeffs) - 1, 0)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return Polynomial(out)
+
+
+def poly_power(p: Polynomial, m: int) -> Polynomial:
+    """p^m for m >= 0, by m products from 1."""
+    out = Polynomial([1])
+    for _ in range(m):
+        out = poly_product(out, p)
+    return out
+
+
+def pointwise_product(f: PiecewisePoly, g: PiecewisePoly) -> PiecewisePoly:
+    """x -> f(x) g(x), piece by piece on the union of the breakpoints."""
+    return f._pointwise(g, poly_product)
+
+
+def power_int(f: PiecewisePoly, m: int) -> PiecewisePoly:
+    """x -> f(x)^m for m >= 1, piece by piece."""
+    return PiecewisePoly(f.breakpoints, [poly_power(p, m) for p in f.pieces])
+
+
+def derivative(p: Polynomial) -> Polynomial:
+    """p' by the power rule."""
+    return Polynomial([k * c for k, c in enumerate(p.coeffs)][1:])
+
+
+def fraction_square_free(p: Polynomial) -> Polynomial:
+    """p / gcd(p, p') by Euclid over Fractions: the roots of p, each simple."""
+    def divmod_(f, g):
+        r, lead = list(f.coeffs), g.coeffs[-1]
+        q = [Fraction(0)] * max(len(r) - g.degree, 0)
+        for k in reversed(range(len(q))):
+            c = q[k] = r[k + g.degree] / lead
+            for j, gc in enumerate(g.coeffs):
+                r[k + j] -= c * gc
+        return Polynomial(q), Polynomial(r)
+
+    g, h = p, derivative(p)
+    while not h.is_zero():
+        g, h = h, divmod_(g, h)[1]
+    return divmod_(p, g)[0]
+
+
 def compose_linear(p: Polynomial, a: RationalLike, b: RationalLike) -> Polynomial:
     """The polynomial x -> p(a*x + b), by Horner's rule in a*x + b."""
     lin = Polynomial([as_fraction(b), as_fraction(a)])
     acc = Polynomial()
     for c in reversed(p.coeffs):
-        acc = acc * lin + Polynomial([c])
+        acc = poly_product(acc, lin) + Polynomial([c])
     return acc
 
 
 def reflect(f: PiecewisePoly) -> PiecewisePoly:
-    """The exact function x -> f(-x)."""
+    """The exact function x -> f(-x), by substitution: the reference for
+    PiecewisePoly.reflect."""
     return PiecewisePoly(
         [-b for b in reversed(f.breakpoints)],
         [compose_linear(p, -1, 0) for p in reversed(f.pieces)],

@@ -99,13 +99,16 @@ class TestEntropyFunctionals:
         assert float(objective_I(g, n, p)) == pytest.approx(chain, rel=1e-13, abs=0)
 
     def test_piecewise_needs_integer_exponent(self):
-        # no silent grid fallback: the exact lane refuses p = 3/2
+        # no silent grid fallback: the exact lane refuses p = 3/2, and any
+        # exact p but 1 and 2, by name
         f = PiecewisePoly.indicator(-1, 1, Fraction(1, 2))
-        for call in (lambda: objective_I(f, 2, 1.5),
-                     lambda: renyi_entropy(f, 1.5),
-                     lambda: scale_to_feasible(f, ConstraintSet(M=0.5, p=1.5, n=2))):
-            with pytest.raises(ValueError, match="integer p"):
-                call()
+        for p in (1.5, 3, Fraction(5, 2), 4.0):
+            for call in (lambda: f.lp_mass(p),
+                         lambda: objective_I(f, 2, p),
+                         lambda: renyi_entropy(f, p),
+                         lambda: scale_to_feasible(f, ConstraintSet(M=0.5, p=p, n=2))):
+                with pytest.raises(ValueError, match=f"integer p = 1 or 2, got {p}$"):
+                    call()
 
     def test_scaling_invariance_of_entropy_shift(self):
         # h_p(f dilated by lam, renormalized) = h_p(f) + log lam
@@ -124,24 +127,6 @@ class TestScaleToFeasible:
         assert ft.mass == 1
         assert ft.lp_mass(2) == Fraction(1, 4)
         assert objective_I(ft, 2, 2) == ratio * objective_I(f, 2, 2)
-
-    def test_exact_rational_lambda_p3(self):
-        # with p = 3 the dilation is a square root; engineered to be rational
-        f = PiecewisePoly.indicator(0, 1, 2)  # mass 2, |f|_3^3 = 8
-        # lam = (lpm / (M mass^p))^(1/(p-1)) = (8 / (M 8))^(1/2) -> M = 1/4 gives lam = 2
-        cs = ConstraintSet(M=Fraction(1, 4), p=3, n=2)
-        ft, lam, ratio = scale_to_feasible(f, cs)
-        assert lam == 2
-        assert ft.mass == 1
-        assert ft.lp_mass(3) == Fraction(1, 4)
-
-    def test_exact_irrational_lambda_takes_the_float_root(self):
-        # mass 1, |f|_3^3 = 1: lam = 2^(1/2), so the float root as a Fraction
-        f = PiecewisePoly.indicator(0, 1)
-        ft, lam, ratio = scale_to_feasible(f, ConstraintSet(M=Fraction(1, 2), p=3, n=2))
-        assert lam == Fraction(6369051672525773, 2**52)
-        assert ft.mass == 1
-        assert float(ft.lp_mass(3)) == pytest.approx(0.5, rel=1e-15)
 
     def test_grid_case(self):
         g = GridFunction(-1.0, 1e-3, np.full(2001, 0.7))

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from renyiconv import cli, grid, piecewise
-from instruments import compose_linear, pairwise_jump_chain, reflect, restrict, schoolbook_times, translate
+from instruments import (compose_linear, derivative, fraction_square_free, pairwise_jump_chain, pointwise_product,
+                         poly_power, poly_product, power_int, reflect, restrict, schoolbook_times, translate)
 from renyiconv.entropy import exact_gengauss_p2
 from renyiconv.euler_lagrange import counterexample_check
 from renyiconv.piecewise import (
@@ -94,14 +95,18 @@ class TestPolynomial:
         q = Polynomial([0, 0, 3])
         assert (p + q).coeffs == (1, 2, 3)
         assert (p - p).is_zero
-        assert (p * q).coeffs == (0, 0, 3, 6)
         assert (p * Fraction(1, 2)).coeffs == (HALF, 1)
+        assert (3 * p).coeffs == (3, 6)
+        # a product of polynomials is the instruments' reference, not the package's
+        assert poly_product(p, q).coeffs == (0, 0, 3, 6)
+        with pytest.raises(TypeError):
+            p * q
 
     def test_pow_and_derivative(self):
         p = Polynomial([0, 1])
-        assert p.pow_int(5).coeffs == (0, 0, 0, 0, 0, 1)
-        assert p.pow_int(5).derivative().coeffs == (0, 0, 0, 0, 5)
-        assert Polynomial([3]).derivative().is_zero
+        assert poly_power(p, 5).coeffs == (0, 0, 0, 0, 0, 1)
+        assert derivative(poly_power(p, 5)).coeffs == (0, 0, 0, 0, 5)
+        assert derivative(Polynomial([3])).is_zero()
 
     def test_antiderivative_and_integral(self):
         p = Polynomial([0, 0, 3])  # 3x^2
@@ -179,14 +184,16 @@ class TestPiecewisePolyBasics:
         s = f + g
         assert s.eval(HALF) == Fraction(3, 2)
         assert s.eval(Fraction(3, 2)) == Fraction(3, 2)
-        assert (f * g).eval(HALF) == HALF
+        assert pointwise_product(f, g).eval(HALF) == HALF
         assert (f - f).is_zero
+        assert (f * 3).eval(HALF) == (3 * f).eval(HALF) == 3
+        with pytest.raises(TypeError):
+            f * g
 
-    def test_power_int(self):
-        f = PiecewisePoly.single(Polynomial([1, 1]), 0, 1)
-        sq = f.power_int(2)
-        assert sq.eval(HALF) == Fraction(9, 4)
-        assert sq.mass == Fraction(7, 3)
+    def test_reflect_matches_the_substitution(self, rng, trials):
+        for _ in range(trials):
+            f = rand_piecewise(rng, max_degree=6)
+            assert f.reflect() == reflect(f)
 
     def test_nonnegativity_guard(self):
         bad = PiecewisePoly.single(Polynomial([Fraction(-1, 100), 0, 1]), -1, 1)
@@ -207,8 +214,24 @@ class TestPiecewisePolyBasics:
 
     def test_lp_norm_int(self):
         f = indicator(-1, 1, HALF)
-        assert f.lp_mass(2) == HALF
-        assert f.lp_mass(3) == Fraction(1, 4)
+        assert f.lp_mass(1) == 1
+        assert f.lp_mass(2) == f.lp_mass(2.0) == f.lp_mass(Fraction(2)) == HALF
+        for p in (3, Fraction(3, 2), 0, 2.5):
+            with pytest.raises(ValueError, match=f"p = 1 or 2, got {p}$"):
+                f.lp_mass(p)
+
+    def test_lp_mass_2_matches_the_pointwise_square(self, rng, trials):
+        # uneven, multi-piece, discontinuous densities: squares of random
+        # piecewise polynomials, half of them lifted by a positive constant
+        for _ in range(trials):
+            f = power_int(rand_piecewise(rng, 3), 2)
+            if rng.random() < 0.5:
+                f = f + PiecewisePoly.indicator(*f.support, rand_fraction(rng) ** 2)
+            assert f.lp_mass(2) == power_int(f, 2).mass, f
+
+    def test_lp_mass_2_refuses_a_negative_density(self):
+        with pytest.raises(NegativeDensity):
+            PiecewisePoly.single(Polynomial([1, -3]), 0, 1).lp_mass(2)
 
 
 def product_of_roots(rng, lo, hi):
@@ -226,7 +249,7 @@ def product_of_roots(rng, lo, hi):
         else:
             q = Fraction(int(rng.choice([2, 3, 5, 6, 7, -1, -2])), 9) * w * w
             factor = Polynomial([r * r - q, -2 * r, 1])
-        poly = poly * factor.pow_int(k)
+        poly = poly_product(poly, poly_power(factor, k))
     if rng.random() < 1 / 3:
         poly = poly + Polynomial([Fraction(int(rng.choice([-1, 1])), 10 ** int(rng.integers(3, 12)))])
     return poly
@@ -266,6 +289,21 @@ class TestNonnegativity:
             decided.add(got)
         assert decided == {True, False}
 
+    def test_square_free_matches_euclid_over_fractions(self, rng, trials):
+        # random products with repeated roots: the primitive integer
+        # remainder sequence and Euclid over Fractions give one polynomial,
+        # up to a constant factor
+        for _ in range(3 * trials):
+            lo = rand_fraction(rng, 9, 7)
+            poly = product_of_roots(rng, lo, lo + Fraction(int(rng.integers(1, 30)), int(rng.integers(1, 12))))
+            got, want = piecewise._square_free(poly._integers()[0]), fraction_square_free(poly).coeffs
+            assert len(got) == len(want) and all(g * want[-1] == w * got[-1] for g, w in zip(got, want)), poly
+        # (x - 1)^3 (x + 2)^2 (x^2 + 1) has the square-free part (x - 1)(x + 2)(x^2 + 1)
+        poly = poly_product(poly_product(poly_power(Polynomial([-1, 1]), 3), poly_power(Polynomial([2, 1]), 2)),
+                            Polynomial([1, 0, 1]))
+        got = piecewise._square_free(poly._integers()[0])
+        assert [c * got[-1] for c in got] == [-2, 1, -1, 1, 1]
+
     @pytest.mark.parametrize("tail, nonnegative", [
         (Fraction(1, 10**13), False),      # minimum -1.5e-13, between four roots
         (Fraction(1, 4 * 10**12), True),   # ((x - 1/2)^2 - 1/(2 10^6))^2: two touching zeros
@@ -273,7 +311,7 @@ class TestNonnegativity:
     def test_decides_close_roots(self, tail, nonnegative):
         # the example the sampled check once passed
         y = Polynomial([-HALF, 1])
-        f = PiecewisePoly.single(y.pow_int(4) - Fraction(1, 10**6) * y.pow_int(2) + Polynomial([tail]), 0, 1)
+        f = PiecewisePoly.single(poly_power(y, 4) - Fraction(1, 10**6) * poly_power(y, 2) + Polynomial([tail]), 0, 1)
         if nonnegative:
             f.assert_nonnegative()
         else:
@@ -371,15 +409,15 @@ class TestConvolution:
             h, gr = f.convolve(g), reflect(g)
             sums = sorted({a + b for a in f.breakpoints for b in g.breakpoints})
             for x in sums + [(lo + hi) / 2 for lo, hi in zip(sums, sums[1:])]:
-                assert h.eval(x) == (f * translate(gr, x)).mass
+                assert h.eval(x) == pointwise_product(f, translate(gr, x)).mass
 
     def test_with_reflection_adjoint(self):
         # int f (T(g) * h) == int (f * g) h for compact supports
         f = PiecewisePoly.single(Polynomial([1, 1]), 0, 1)
         g = PiecewisePoly.single(Polynomial([2, 0, -1]), -1, 1)
         h = indicator(0, 2)
-        lhs = (f * reflect(g).convolve(h)).mass
-        rhs = (f.convolve(g) * h).mass
+        lhs = pointwise_product(f, reflect(g).convolve(h)).mass
+        rhs = pointwise_product(f.convolve(g), h).mass
         assert lhs == rhs
 
 
@@ -510,8 +548,8 @@ class TestConvolutionPower:
 
 
 class TestConvolutionPowerAt:
-    """f.convolution_power_at(n, xs) is [f.convolution_power(n).eval(x)
-    for x in xs], from the jump form alone."""
+    """f.convolve_at(*[f] * (n - 1), xs=xs), C_n(f) at the points xs, is
+    [f.convolution_power(n).eval(x) for x in xs], from the jump form alone."""
 
     def test_matches_the_power_at_cuts_ends_and_off_lattice(self, rng, trials):
         for _ in range(trials):
@@ -521,25 +559,24 @@ class TestConvolutionPowerAt:
                 (s0, s1), cuts = full.support, full.breakpoints
                 xs = list(cuts) + [(a + b) / 2 for a, b in zip(cuts, cuts[1:])] + [
                     s0 - 1, s1 + Fraction(1, 3), Fraction(1, 7), Fraction(-3, 7), (s0 + s1) / 2 + Fraction(1, 11)]
-                assert f.convolution_power_at(n, xs) == [full.eval(x) for x in xs], (f, n)
+                assert f.convolve_at(*[f] * (n - 1), xs=xs) == [full.eval(x) for x in xs], (f, n)
                 # one point at a time: the cuts skipped depend on max(xs)
                 for x in (s0, s1, Fraction(1, 7), full.breakpoints[len(full.breakpoints) // 2]):
-                    assert f.convolution_power_at(n, [x]) == [full.eval(x)], (f, n, x)
+                    assert f.convolve_at(*[f] * (n - 1), xs=[x]) == [full.eval(x)], (f, n, x)
 
     def test_edge_cases(self, rng):
         zero, f = PiecewisePoly.zero(), rand_piecewise(rng, 2)
-        assert zero.convolution_power_at(3, [0, 1, Fraction(1, 7)]) == [0, 0, 0]
-        assert f.convolution_power_at(3, []) == []
-        # n = 1 is f itself, discontinuities and right-closed support end included
-        xs = list(f.breakpoints) + [Fraction(1, 7)]
-        assert f.convolution_power_at(1, xs) == [f.eval(x) for x in xs]
-        with pytest.raises(ValueError, match="n >= 1"):
-            f.convolution_power_at(0, [0])
+        assert zero.convolve_at(zero, zero, xs=[0, 1, Fraction(1, 7)]) == [0, 0, 0]
+        assert f.convolve_at(f, zero, xs=[0, 1]) == [0, 0]
+        assert f.convolve_at(f, f, xs=[]) == []
+        # one factor is f itself, which convolve_at does not take
+        with pytest.raises(TypeError):
+            f.convolve_at(xs=[0])
 
     def test_iterates_match_the_kernel_at_0_and_1(self):
         for f in exact_iterates():
             K = _kernel_of(f, 2, 2.0)
-            assert f.convolution_power_at(3, (0, 1)) == [K(0), K(1)]
+            assert f.convolve_at(f, f, xs=(0, 1)) == [K(0), K(1)]
 
     def test_exact_solve_fit_shifts_only_the_final_jumps(self, shifts):
         # f4 is one piece on [-1, 1]: its jump form is 2 shifts, where
@@ -553,6 +590,41 @@ class TestConvolutionPowerAt:
         solution = run_fixed_point(SolverConfig(mode="exact"))
         assert solution.f == fs[4]
         assert shifts[0] - updates == 2
+
+
+def uneven_factors(rng, k):
+    """k nonzero random factors, at least two of them distinct and the
+    first two with different left ends, so the chain is uneven."""
+    factors = []
+    while any(q.is_zero() for q in factors) or len({q.support[0] for q in factors[:2]}) < 2:
+        factors = [rand_piecewise(rng, 3) for _ in range(k)]
+    return factors
+
+
+class TestConvolveAt:
+    """f.convolve_at(g, *more, xs=xs) is [f.convolve(g, *more).eval(x) for x
+    in xs], and with a reflected factor it is the integral of a product."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_matches_the_product_at_cuts_off_lattice_and_outside(self, rng, trials, k):
+        for _ in range(trials):
+            factors = uneven_factors(rng, k)
+            if k > 2 and rng.random() < 0.5:  # a repeated factor among distinct ones
+                factors[-1] = factors[0]
+            full = factors[0].convolve(*factors[1:])
+            (s0, s1), cuts = full.support, full.breakpoints
+            xs = list(cuts) + [a + (b - a) * Fraction(int(rng.integers(1, 97)), 97) for a, b in zip(cuts, cuts[1:])]
+            xs += [s0 - Fraction(1, 3), s1 + 2, Fraction(1, 7), Fraction(-5, 11)]
+            assert factors[0].convolve_at(*factors[1:], xs=xs) == [full.eval(x) for x in xs], factors
+            for x in (s0, s1, xs[-1]):
+                assert factors[0].convolve_at(*factors[1:], xs=[x]) == [full.eval(x)], (factors, x)
+
+    def test_integral_of_a_product_is_a_point_value(self, rng, trials):
+        # int g h = (g * Th)(0), against the pointwise product of uneven g != h
+        for _ in range(trials):
+            g, h = uneven_factors(rng, 2)
+            assert g.convolve_at(h.reflect(), xs=(0,)) == [pointwise_product(g, h).mass], (g, h)
+            assert h.convolve_at(g.reflect(), xs=(0,)) == [pointwise_product(g, h).mass], (g, h)
 
 
 def rand_ints(rng, size, max_bits):
@@ -630,25 +702,25 @@ class TestJumpChain:
         f = PiecewisePoly.single(Polynomial([1, 0, -1 - c, 0, c]), -1, 1)
         acc, den = pairwise_jump_chain((f,) * 64, 1, 0)
         want = Fraction(sum(sum(u * (-s) ** m for m, u in enumerate(us)) for s, us in acc.items()), den)
-        assert f.convolution_power_at(64, [0]) == [want]
+        assert f.convolve_at(*[f] * 63, xs=[0]) == [want]
         # and within 0.5% of the central limit, whose first Edgeworth term,
         # excess kurtosis / (8 * 64), is -0.17% here
         mass = f.mass
-        var = (f * PiecewisePoly.single(Polynomial([0, 0, 1]), -1, 1)).mass / mass
+        var = pointwise_product(f, PiecewisePoly.single(Polynomial([0, 0, 1]), -1, 1)).mass / mass
         assert abs(float(want / mass ** 64) * sqrt(2 * pi * 64 * float(var)) - 1) < 0.005
 
     def test_c3_of_one_piece_at_0_and_1_takes_three_products(self, products):
         # J_-1^2, J_-1^3 and J_-1^2 J_1, where the pairwise chain took 6
         for f in (indicator(), exact_iterates()[4]):
             products[0] = 0
-            f.convolution_power_at(3, (0, 1))
+            f.convolve_at(f, f, xs=(0, 1))
             assert products[0] == 3
 
     @pytest.mark.parametrize("s", [1, -1, 2, -3, 0])
     def test_taylor_shift(self, rng, s):
         for _ in range(20):
             cs = rand_ints(rng, int(rng.integers(1, 12)), 60)
-            want = sum((Polynomial([s, 1]).pow_int(k) * c for k, c in enumerate(cs)), Polynomial())
+            want = sum((poly_power(Polynomial([s, 1]), k) * c for k, c in enumerate(cs)), Polynomial())
             assert piecewise._taylor_shift(cs, s) == [int(c) for c in want.coeffs] + [0] * (len(cs) - len(want.coeffs))
 
 
@@ -733,13 +805,13 @@ class TestSampleLattice:
         for _ in range(max(1, trials // 4)):
             # breakpoints in [-36/64, 36/64]: steps of 2^-10 land on the
             # dyadic ones; 0.01 and 1e-3 are not dyadic
-            f = rand_sampled_piecewise(rng).power_int(2).dilate(Fraction(1, 64))
+            f = power_int(rand_sampled_piecewise(rng), 2).dilate(Fraction(1, 64))
             for dx in (0.125, 1 / 64, 2.0**-10, 0.01, 1e-3):
                 xs = grid.unit_nodes(dx).tolist()
                 assert grid.sample(f, dx).values.tolist() == [float(f.eval(Fraction(x))) for x in xs]
 
     def test_plot_sampler_matches_eval_on_k_over_1000(self, rng):
-        f = rand_sampled_piecewise(rng).power_int(2).dilate(Fraction(1, 3))
+        f = power_int(rand_sampled_piecewise(rng), 2).dilate(Fraction(1, 3))
         ks = range(-1000, 1001)
         assert cli._sample_exact_on_unit(f).values.tolist() == reference(f, ks, 1000)
 
@@ -857,7 +929,7 @@ class TestCertifiedSampling:
     def test_large_cancelling_coefficients(self, exact_nodes):
         # 10^40 (x - 1/3)^9: coefficients near 10^40 cancel to values as
         # small as 2^-170 at the nodes next to 1/3
-        f = PiecewisePoly.single(Polynomial([Fraction(-1, 3), 1]).pow_int(9) * 10**40, -1, 1)
+        f = PiecewisePoly.single(poly_power(Polynomial([Fraction(-1, 3), 1]), 9) * 10**40, -1, 1)
         third = 2**40 // 3
         ms = sorted(set(range(-2**40, 2**40 + 1, 2**30)) | set(range(third - 20, third + 21)))
         vals = list(f.sample_lattice(ms, 2**40))
