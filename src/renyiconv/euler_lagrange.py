@@ -63,10 +63,12 @@ def stationarity_kernel(q: GridFunction, n: int, p: float) -> GridFunction:
     K = T(C_{n-1}(Q) * T(h)): both products are powers of Q's one
     spectrum times at most one other, and the first hands that spectrum
     to the second through convolve_grid's memo.  One cyclic length
-    L = 5-smooth >= n(N-1)+1 serves both (C_n in full, and the window of
-    the second product that reflects onto q's nodes), so K costs 2 rffts
-    and 2 irffts.  Those nodes are the only ones the fixed-point update,
-    its final fit and el_residual read.
+    L >= n(N-1)+1 serves both (C_n in full, and the window of the second
+    product that reflects onto q's nodes), so K costs 4 transforms: for
+    an even q, whose products are even, 4 DCT-Is at the half period L/2,
+    otherwise 2 rffts and 2 irffts at the least 5-smooth L.  Those nodes
+    are the only ones the fixed-point update, its final fit and
+    el_residual read.
     """
     spectra = {}
     return _kernel_from_cn(q, n, p, q.convolution_power(n, spectra=spectra), spectra)
@@ -74,9 +76,10 @@ def stationarity_kernel(q: GridFunction, n: int, p: float) -> GridFunction:
 
 def _kernel_from_cn(q: GridFunction, n: int, p: float, cn: GridFunction, spectra: dict) -> GridFunction:
     """stationarity_kernel from cn = C_n(Q), made with the memo spectra,
-    which then holds Q's spectrum for the second product: 1 rfft and 1
-    irfft more.  A p that takes C_n^(p-1), or its product, beyond the
-    float range raises ValueError naming p, before numpy can warn."""
+    which then holds Q's spectrum for the second product: 2 transforms
+    more, on the route of the first.  A p that takes C_n^(p-1), or its
+    product, beyond the float range raises ValueError naming p, before
+    numpy can warn."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             th = _grid.reflect(_grid.power_real(cn, p - 1.0))
@@ -138,8 +141,11 @@ def el_residual(q: GridFunction, n: int, p: float, M: float) -> ElResidualReport
 def _ls_affine_fit(K: PiecewisePoly, g: PiecewisePoly) -> tuple[Fraction, Fraction]:
     """Exact least-squares fit of K ~ a g + b over [-1, 1], for K given
     on [-1, 1] only.  The integrals of K g and g^2 are the point values
-    (K * Tg)(0) and (g * Tg)(0), T the reflection."""
+    (K * Tg)(0) and (g * Tg)(0), T the reflection; an even g is its own
+    Tg, so that the chain squares one form."""
     tg = g.reflect()
+    if tg == g:
+        tg = g
     kg = K.convolve_at(tg, xs=(0,))[0]
     k1 = K.mass
     gg = g.convolve_at(tg, xs=(0,))[0]

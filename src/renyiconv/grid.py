@@ -7,7 +7,9 @@ tests/instruments.py).  Integrals are plain rectangle-rule sums
 dx * sum(values), which makes the discrete mass of a convolution factor
 exactly and keeps the solver's discrete identities clean.  Every grid on
 [-1, 1] comes from unit_nodes, and sample reads an exact density at those
-nodes as the integers node * 2^53 over 2^53.
+nodes as the integers node * 2^53 over 2^53.  convolve_grid runs a
+product of even samples, the solver's iterates and kernels, on real
+DCT-Is of half the period, and every other product on rffts.
 """
 from __future__ import annotations
 
@@ -31,6 +33,7 @@ _SUM_BLOCK = 1 << 14  # values per bincount in exact_sum: bucket sums stay below
 MAX_GRID_NODES = 1 << 24  # most nodes of a grid made from a density, 128 MiB of floats
 PLOT_DEN = 1000  # plot CSVs and the counterexample's residual sample [-1, 1] at k / PLOT_DEN, k in PLOT_NODES
 PLOT_NODES = range(-PLOT_DEN, PLOT_DEN + 1)
+_COS_BLOCK = 32  # the cosine route's half periods are multiples, which _dct1 halves down to the rfft
 
 
 def exact_sum(a: np.ndarray) -> float:
@@ -163,8 +166,8 @@ class GridFunction:
                           spectra: dict | None = None) -> "GridFunction":
         """C_n(f), the n-fold self convolution, on the window [lo, hi] of
         convolve_grid (the whole output by default): one product of n
-        factors at a 5-smooth length, for the whole output the L of the
-        stationarity and p = 2 update kernels of f.  n = 1 is f itself
+        factors, for the whole output at the length L of the stationarity
+        and p = 2 update kernels of f.  n = 1 is f itself
         and takes no window.  spectra is convolve_grid's memo: for n >= 2
         it then holds f's spectrum, for the next product with f."""
         if n < 1 or n == 1 and (lo, hi) != (None, None):
@@ -184,11 +187,10 @@ class GridFunction:
         return GridFunction(lam * self.x0, lam * self.dx, self.values)
 
 
-def unit_nodes(dx: float) -> np.ndarray:
-    """The nodes -1 + k*dx, k = 0..2/dx, of [-1, 1], where every grid on
-    [-1, 1] lives.  Raises ValueError unless dx > 0, the nodes number at
-    most MAX_GRID_NODES (checked before any is made) and dx divides 1, so
-    that 0 and +-1 are nodes."""
+def unit_steps(dx: float) -> int:
+    """1/dx, the steps from 0 to 1 of the grid of [-1, 1] at spacing dx.
+    Raises ValueError unless dx > 0, the 2/dx + 1 nodes number at most
+    MAX_GRID_NODES and dx divides 1, so that 0 and +-1 are nodes."""
     if not dx > 0:
         raise ValueError("dx must be positive")
     steps = round(min(1.0 / dx, MAX_GRID_NODES))  # min: round of inf raises
@@ -196,7 +198,13 @@ def unit_nodes(dx: float) -> np.ndarray:
         raise ValueError(f"dx = {dx} needs more than {MAX_GRID_NODES} grid nodes on [-1, 1]")
     if not abs(steps * dx - 1.0) <= 1e-9:  # NaN (dx = inf) fails too
         raise ValueError("dx must divide 1 so that 0 and +-1 are grid nodes")
-    return -1.0 + np.arange(2 * steps + 1) * dx
+    return steps
+
+
+def unit_nodes(dx: float) -> np.ndarray:
+    """The nodes -1 + k*dx, k = 0..2 unit_steps(dx), of [-1, 1], where
+    every grid on [-1, 1] lives; dx is checked before any node is made."""
+    return -1.0 + np.arange(2 * unit_steps(dx) + 1) * dx
 
 
 def sample(f: PiecewisePoly, dx: float) -> GridFunction:
@@ -232,6 +240,29 @@ def _smooth_length(n: int) -> int:
     return best
 
 
+def _dct1(x: np.ndarray, twiddles: np.ndarray) -> np.ndarray:
+    """DCT-I of x_0..x_P: X_k = x_0 + (-1)^k x_P + 2 sum_{0<m<P} x_m
+    cos(pi m k / P), k = 0..P, the rfft of x's even extension of period
+    2P, taken as such at an odd P or one up to _COS_BLOCK.  Above, m splits
+    by parity: X_k = E_k + R_k and X_{P-k} = E_k - R_k for k <= P/2, E the
+    DCT-I of the even-indexed x and R twice the DCT-II of the odd-indexed,
+    one rfft of length P/2 by Makhoul's reordering (IEEE Trans. ASSP 28,
+    1980).  twiddles[k] = 2 exp(-i pi k / P), k <= P/4."""
+    P = x.size - 1
+    if P % 2 or P <= _COS_BLOCK:
+        return np.fft.rfft(np.concatenate((x, x[-2:0:-1]))).real
+    e = _dct1(x[::2], twiddles[::2])
+    n, m = P // 2, P // 4
+    wv = np.fft.rfft(np.concatenate((x[1::4], x[3::4][::-1]))) * twiddles[:m + 1]
+    r = np.empty(n + 1)
+    r[::-1][:m + 1] = -wv.imag  # R_{n-k}
+    r[:m + 1] = wv.real
+    out = np.empty(P + 1)
+    np.subtract(e, r, out=out[n:][::-1])
+    np.add(e, r, out=out[:n + 1])
+    return out
+
+
 def convolve_grid(f: GridFunction, g: GridFunction, *more: GridFunction,
                   lo: float | None = None, hi: float | None = None,
                   spectra: dict | None = None) -> GridFunction:
@@ -243,11 +274,17 @@ def convolve_grid(f: GridFunction, g: GridFunction, *more: GridFunction,
     sum(len) - k + 1 nodes.  A window [lo, hi] (both nodes of that
     lattice, each defaulting to its end) returns only the nodes in it.
 
-    Each distinct sample array's rfft is taken once at one cyclic length
+    Each distinct sample array is transformed once at one cyclic length
     L, the spectra are multiplied and inverted once.  A window starting
     at linear index w0 with W nodes is alias-free when
-    L >= max(n_out - w0, w0 + W) and L covers the longest factor; L is
-    the smallest 2^a 3^b 5^c that does.  A pair called with no window
+    L >= max(n_out - w0, w0 + W) and L covers the longest factor.  A
+    product of odd-length palindromes on a window symmetric about the
+    output's centre is even and runs on cosine transforms (Martucci, IEEE
+    Trans. Signal Process. 42, 1994): _dct1 of each factor's right half
+    at the half period P, the least 5-smooth multiple of _COS_BLOCK with
+    L = 2P at the bound, and _dct1 of the product over 2P give the
+    window's right half, mirrored to the left.  Every other product takes
+    rffts at the least 5-smooth L, but a pair called with no window
     (neither lo nor hi) keeps the power of two covering n_out, so its
     bits stay what they were.  Its two callers build C_3 as a chain of
     such pairs: solver.run_fixed_point, for the exact solve's residual
@@ -258,11 +295,12 @@ def convolve_grid(f: GridFunction, g: GridFunction, *more: GridFunction,
     boolean mask.
 
     spectra is an optional hand-over, owned by the caller, between two
-    products that share a factor: it maps (id(values), L) to (values,
-    rfft of values at L), and holding the array keeps its id from being
+    products that share a factor: it maps (id(values), L, even) to
+    (values, spectrum), and holding the array keeps its id from being
     reused.  A product stores there the spectrum of a factor it repeats,
-    and the next product with that factor at L takes it out instead of
-    transforming again.  The memo never changes a product's bits.
+    and the next product with that factor on the same route at L takes it
+    out instead of transforming again.  The memo never changes a
+    product's bits.
 
     A spectrum held nowhere else is the product's to overwrite: the
     product is formed in it, and a factor used twice is squared in
@@ -279,21 +317,34 @@ def convolve_grid(f: GridFunction, g: GridFunction, *more: GridFunction,
     w1 = n_out - 1 if hi is None else _lattice_index(hi, x0, dx, n_out)
     if w1 < w0:
         raise ValueError(f"empty window [{lo}, {hi}]")
-    width = w1 - w0 + 1
-    if len(factors) == 2 and lo is None and hi is None:
-        n_fft = 1 << (n_out - 1).bit_length()
-    else:
-        n_fft = _smooth_length(max(n_out - w0, w0 + width, *(h.values.size for h in factors)))
+    bound = max(n_out - w0, w1 + 1, *(h.values.size for h in factors))
     multiplicity = {}
     for h in factors:
         multiplicity.setdefault(id(h.values), [h.values, 0])[1] += 1
+    pair = len(factors) == 2 and lo is None and hi is None
+    even = not pair and w0 + w1 == n_out - 1 and all(
+        vals.size % 2 and np.array_equal(vals, vals[::-1]) for vals, _ in multiplicity.values())
+    if even:
+        half = _COS_BLOCK * _smooth_length(-(-bound // (2 * _COS_BLOCK)))
+        n_fft = 2 * half
+        # 2 exp(-i pi k / half) for k = s j + i <= half / 4, from two tables of about s
+        step, s = -1j * np.pi / half, math.isqrt(half // 4) + 1
+        twiddles = np.multiply.outer(2.0 * np.exp(step * s * np.arange(s + 1)), np.exp(step * np.arange(s)))
+        twiddles = twiddles.ravel()[:half // 4 + 1]
+    else:
+        n_fft = 1 << (n_out - 1).bit_length() if pair else _smooth_length(bound)
     prod, owned = None, False
     for key, (vals, k) in multiplicity.items():
-        hit = None if spectra is None else spectra.pop((key, n_fft), None)
-        spec = np.fft.rfft(vals, n_fft) if hit is None else hit[1]
+        hit = None if spectra is None else spectra.pop((key, n_fft, even), None)
+        if hit is not None:
+            spec = hit[1]
+        elif even:  # the right half from the centre node, padded to half + 1 values
+            spec = _dct1(np.concatenate((vals[vals.size // 2:], np.zeros(half - vals.size // 2))), twiddles)
+        else:
+            spec = np.fft.rfft(vals, n_fft)
         stored = hit is None and k > 1 and spectra is not None
         if stored:
-            spectra[key, n_fft] = (vals, spec)
+            spectra[key, n_fft, even] = (vals, spec)
         for _ in range(k):
             if prod is None:
                 prod, owned = spec, not stored and k <= 2
@@ -302,7 +353,12 @@ def convolve_grid(f: GridFunction, g: GridFunction, *more: GridFunction,
             else:
                 prod, owned = prod * spec, True
     del spec, hit
-    out = np.fft.irfft(prod, n_fft)[w0:w1 + 1]
+    if even:
+        out, r = np.empty(w1 - w0 + 1), (w1 - w0) // 2
+        np.divide(_dct1(prod, twiddles)[:r + 1], n_fft, out=out[r:])
+        out[:r] = out[:r:-1]
+    else:
+        out = np.fft.irfft(prod, n_fft)[w0:w1 + 1]
     del prod
     clamp = _CONV_CLAMP_REL * max(1.0, float(out.max()), -float(out.min()))
     tiny = out > -clamp

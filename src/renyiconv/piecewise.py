@@ -661,12 +661,16 @@ class PiecewisePoly:
         Requires f >= 0 on its support (this is the p-th power of the
         L^p norm of a density): assert_nonnegative decides it exactly first,
         and raises NegativeDensity otherwise.  At p = 2 the integral of f f
-        is the point value (f * Tf)(0), T the reflection (convolve_at).
+        is the point value (f * Tf)(0), T the reflection (convolve_at), with
+        f itself as Tf when f is even, so that the chain squares one form.
         """
         if p not in (1, 2):
             raise ValueError(f"exact p-mass needs the integer p = 1 or 2, got {p}")
         self.assert_nonnegative()
-        return self.mass if p == 1 else self.convolve_at(self.reflect(), xs=(0,))[0]
+        if p == 1:
+            return self.mass
+        tf = self.reflect()
+        return self.convolve_at(self if tf == self else tf, xs=(0,))[0]
 
     # ------------------------------------------------------------------
     # convolution

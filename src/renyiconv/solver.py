@@ -13,9 +13,10 @@ kernel T(C_{n-1}(f)) * (C_n(f))^(p-1).  One kernel rule covers every
   - p = 2: K = C_{2n-1}(f) on [-1, 1], f.convolution_power(2n - 1, -1, 1)
     in both lanes, which equals the first-variation kernel for an even f.
     The grid update folds K even, so every grid iterate is even.  On a
-    grid, one windowed product: 2 transforms.
+    grid, one windowed product of even factors: 2 half-length DCT-Is.
   - otherwise: the first-variation kernel itself (stationarity_kernel):
-    4 transforms, C_n and one more product sharing f's one spectrum.
+    4 DCT-Is for an even f, C_n and one more product sharing f's one
+    spectrum.
 
 Exact mode runs at (n, p) = (2, 2), where K is C_3, and its final fit
 reads K(0), K(1) as point values of C_3; grid mode runs every (n, p) on
@@ -129,7 +130,7 @@ def initial_iterate(config: SolverConfig) -> Density:
 def _kernel_of(f: Density, n: int, p: float) -> Density:
     """The update kernel on [-1, 1], all that the update and the grid fit
     read.  At p = 2, in both lanes, it is C_{2n-1}(f) there (on a grid one
-    product, 2 transforms), which is the first-variation kernel
+    product, 2 DCT-Is of an even f), which is the first-variation kernel
     T(C_{n-1}(f)) * C_n(f) of the even iterates the update makes.
     Otherwise it is the first-variation kernel, stationarity_kernel:
     4 transforms.  A grid whose unscaled product of spectra, near
@@ -145,9 +146,10 @@ def _kernel_of(f: Density, n: int, p: float) -> Density:
 
 
 def _on_unit_nodes(f: GridFunction) -> bool:
-    """Whether f sits on grid.unit_nodes(f.dx), the grid of [-1, 1]."""
+    """Whether f sits on grid.unit_nodes(f.dx), the grid of [-1, 1],
+    decided from its first node and length without making the nodes."""
     try:
-        return f.x0 == -1.0 and len(f) == len(_grid.unit_nodes(f.dx))
+        return f.x0 == -1.0 and len(f) == 2 * _grid.unit_steps(f.dx) + 1
     except ValueError:  # dx does not divide 1
         return False
 

@@ -23,7 +23,7 @@ def _transform_lengths(monkeypatch, name: str) -> list:
     seen, transform = [], getattr(np.fft, name)
 
     def counted(a, n=None, *args, **kwargs):
-        seen.append(n)
+        seen.append(np.shape(a)[-1] if n is None else n)
         return transform(a, n, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, name, counted)
@@ -38,5 +38,6 @@ def irfft_lengths(monkeypatch) -> list:
 
 @pytest.fixture
 def rfft_lengths(monkeypatch) -> list:
-    """The length of every forward transform made during the test."""
+    """The length of every forward transform made during the test, the
+    input's own where no length is given."""
     return _transform_lengths(monkeypatch, "rfft")

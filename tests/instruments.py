@@ -21,6 +21,8 @@ no renyiconv command runs.
 - the square-free part by Euclid over Fractions, which the primitive
   integer remainder sequence of piecewise._square_free is checked against;
 - the pointwise value of a generalized Gaussian, for quadrature;
+- the transform plan of grid._dct1, the rfft lengths that pin the
+  cosine route of grid.convolve_grid;
 - the exact jump chain by pairs: the factors' jump forms multiplied left
   to right, with a double loop over each pair of order lists, which the
   binomial power and the Kronecker product of piecewise._jump_chain are
@@ -321,3 +323,13 @@ def gengauss_value(gg: GeneralizedGaussian, x: float) -> float:
     if u <= 0:
         return 0.0
     return gg.alpha * u ** gg.q
+
+
+def dct1_plan(half: int) -> list[int]:
+    """The rfft lengths, in call order, of one grid._dct1 at half period
+    `half`: the rfft of the even extension (2 half) at an odd half period
+    or one of at most grid._COS_BLOCK; otherwise the plan at half / 2, then
+    the rfft of length half / 2 of the odd-indexed values."""
+    if half % 2 or half <= grid._COS_BLOCK:
+        return [2 * half]
+    return dct1_plan(half // 2) + [half // 2]

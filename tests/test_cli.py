@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import renyiconv
+from instruments import dct1_plan
 from renyiconv import cli, grid, solver
 from renyiconv.grid import read_csv
 from renyiconv.solver import SolverConfig, initial_iterate, iterate_once
@@ -495,10 +496,15 @@ class TestCompare:
 
     def test_one_transform_length(self, tmp_path, rfft_lengths, irfft_lengths):
         # the update kernel C_5 on f's nodes and the objective C_3 of the
-        # fixed point both take L = 6075 >= 3 * 2000 + 1 (the exact
-        # generalized Gaussian takes none); the pair chain took 4096 and 8192
+        # fixed point are even products on the cosine route, and both take
+        # the half period P = 3072 = 32 * 96, 2P >= 3 * 2000 + 1 (the exact
+        # generalized Gaussian takes none): every rfft belongs to a DCT-I
+        # at P, none is of a whole factor, and nothing is inverted by irfft.
+        # The rfft route took L = 6075, the pair chain 4096 and 8192
         assert run(["compare", "--n", "3", "--p", "2", "--dx", "1e-3", "--out", str(tmp_path / "o")]) == 0
-        assert set(rfft_lengths + irfft_lengths) == {6075}
+        plan = dct1_plan(3072)
+        assert irfft_lengths == [] and rfft_lengths
+        assert rfft_lengths == plan * (len(rfft_lengths) // len(plan))
 
     def test_default_m_uses_solution_norms(self, tmp_path):
         out = str(tmp_path / "o")

@@ -8,11 +8,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from instruments import pair_chain, rearrange_symmetric_decreasing
+from instruments import dct1_plan, pair_chain, rearrange_symmetric_decreasing
 from renyiconv.cli import PLOT_XS, _write_plot_csv
 from renyiconv.grid import (
     GridFunction,
     MismatchedSpacing,
+    _dct1,
     _smooth_length,
     convolve_grid,
     exact_sum,
@@ -315,7 +316,7 @@ class TestConvolveProduct:
     def test_shared_spectra_memo(self, rng, rfft_lengths):
         # the stationarity kernel's pattern: C_2(a) in full hands a's
         # spectrum over to the next product with a, which takes it; all at
-        # the 5-smooth L = 600 >= 2N - 1
+        # the 5-smooth L = 600 >= 2N - 1 of the rfft route (a is not even)
         dx, N = 0.01, 300
         a = GridFunction(-1.23, dx, rng.uniform(0, 1, N))
         t = GridFunction(0.4, dx, rng.uniform(0, 1, 2 * N - 1))
@@ -333,15 +334,15 @@ class TestConvolveProduct:
         memo = {}
         shared = products(memo)
         first = [next(shared)]
-        assert list(memo) == [(id(a.values), L)] and memo[id(a.values), L][0] is a.values
-        kept = memo[id(a.values), L][1].copy()
+        assert list(memo) == [(id(a.values), L, False)] and memo[id(a.values), L, False][0] is a.values
+        kept = memo[id(a.values), L, False][1].copy()
         first.append(next(shared))
         # taken, not transformed again; t's spectrum, used once, is not kept
         assert memo == {} and rfft_lengths == [L] * 2
         first.append(next(shared))
         # a is transformed again, and stored since the product repeats it
-        assert rfft_lengths == [L] * 4 and list(memo) == [(id(a.values), L)]
-        assert np.array_equal(memo[id(a.values), L][1], kept)
+        assert rfft_lengths == [L] * 4 and list(memo) == [(id(a.values), L, False)]
+        assert np.array_equal(memo[id(a.values), L, False][1], kept)
         for x, y in zip(plain, first):
             assert x == y
 
@@ -356,6 +357,133 @@ class TestConvolveProduct:
         with pytest.raises(MismatchedSpacing):
             convolve_grid(a, a, GridFunction(0.0, 0.2, np.ones(5)))
 
+
+
+def _palindrome(rng, dx, half):
+    """Random even samples of 2 half + 1 nodes, centred on a random node."""
+    right = rng.uniform(0, 1, half + 1) ** 3
+    return GridFunction(dx * int(rng.integers(-300, 300)), dx, np.concatenate((right[:0:-1], right)))
+
+
+def _rfft_route(factors, w0, w1):
+    """convolve_grid's rfft route, for distinct factors: one rfft each at
+    the least 5-smooth L, multiplied left to right, one irfft, the window,
+    the clamp relative to its peak and the dx scaling, as the route ran
+    before the cosine route was added."""
+    dx, k = factors[0].dx, len(factors)
+    n_out = sum(len(h) for h in factors) - k + 1
+    L = _smooth_length(max(n_out - w0, w1 + 1, *(len(h) for h in factors)))
+    prod = np.fft.rfft(factors[0].values, L)
+    for h in factors[1:]:
+        prod = prod * np.fft.rfft(h.values, L)
+    out = np.fft.irfft(prod, L)[w0:w1 + 1]
+    clamp = 1e-10 * max(1.0, float(out.max()), -float(out.min()))
+    out[(out > -clamp) & (out < 0.0)] = 0.0
+    return GridFunction(sum(h.x0 for h in factors) + w0 * dx, dx, dx ** (k - 1) * out)
+
+
+class TestCosineRoute:
+    """Products of odd-length palindromes on a window symmetric about the
+    output's centre run on DCT-Is of half the period; every other product
+    keeps the rfft route's bits."""
+
+    @pytest.mark.parametrize("half", [
+        1, 2, 31, 32,   # at and below the base case
+        45, 1125,       # odd: 2-adic valuation 0
+        70, 2250,       # valuation 1
+        96, 1440,       # valuation 5, as convolve_grid's 32 q with q odd
+        3072, 15360,    # valuation 10
+        1 << 12])       # valuation 12, split down to the base case
+    def test_dct1_is_rfft_of_even_extension(self, rng, half):
+        x = rng.uniform(-1, 1, half + 1)
+        twiddles = 2 * np.exp(-1j * np.pi * np.arange(half // 4 + 1) / half)
+        ref = np.fft.rfft(np.concatenate((x, x[-2:0:-1]))).real
+        got = _dct1(x, twiddles)
+        assert got.shape == ref.shape == (half + 1,)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_matches_rfft_route_and_np_convolve(self, rng, k, irfft_lengths):
+        dx = 0.01
+        factors = [_palindrome(rng, dx, int(h)) for h in rng.choice(np.arange(20, 400), k, replace=False)]
+        ref = _chain(factors)
+        H = ref.size // 2
+        x0 = sum(h.x0 for h in factors)
+        for r in [H, 1] + [int(r) for r in rng.integers(2, H, 4)]:
+            # the full output too needs a window: a plain pair is pinned
+            irfft_lengths.clear()
+            c = convolve_grid(*factors, lo=x0 + (H - r) * dx, hi=x0 + (H + r) * dx)
+            assert irfft_lengths == [] and len(c) == 2 * r + 1
+            assert c.x0 == pytest.approx(x0 + (H - r) * dx, abs=1e-9)
+            assert np.array_equal(c.values, c.values[::-1])
+            assert np.max(np.abs(c.values - ref[H - r:H + r + 1])) <= 1e-12 * ref.max()
+            rfft = _rfft_route(factors, H - r, H + r)
+            assert np.max(np.abs(c.values - rfft.values)) <= 1e-12 * ref.max()
+
+    @pytest.mark.parametrize("halves, r, half", [
+        # 2P = H + r + 1 = 640: P = 320 = 32 * 10, exactly at the bound
+        ((150, 100, 80), 309, 320),
+        # one node more needs 2P >= 641: P = 384 = 32 * 12
+        ((150, 100, 80), 310, 384),
+        # the longest factor sets the bound, 2 * 159 + 1 <= 2P = 320
+        ((159, 1), 1, 160),
+    ])
+    def test_window_at_exact_alias_bound(self, rng, rfft_lengths, halves, r, half):
+        dx = 0.01
+        factors = [_palindrome(rng, dx, h) for h in halves]
+        ref = _chain(factors)
+        H, x0 = sum(halves), sum(h.x0 for h in factors)
+        c = convolve_grid(*factors, lo=x0 + (H - r) * dx, hi=x0 + (H + r) * dx)
+        assert rfft_lengths == dct1_plan(half) * (len(factors) + 1)
+        assert np.max(np.abs(c.values - ref[H - r:H + r + 1])) <= 1e-12 * ref.max()
+
+    def test_memo_changes_no_bits(self, rng, rfft_lengths):
+        # the stationarity kernel's two products of an even q: C_2(q) in
+        # full, then q with an even t on the window that reflects onto q's
+        # nodes, both at the half period P = 320, 2P >= 2 * 300 + 1
+        dx, half = 0.01, 150
+        q = _palindrome(rng, dx, half)
+        t = _palindrome(rng, dx, 2 * half)
+
+        lo = q.x0 + t.x0 + 2 * half * dx  # q's width about the centre
+
+        def products(spectra=None):
+            yield q.convolution_power(2, spectra=spectra)
+            yield convolve_grid(q, t, lo=lo, hi=lo + 2 * half * dx, spectra=spectra)
+
+        plain = list(products())
+        rfft_lengths.clear()
+        memo = {}
+        shared = products(memo)
+        first = [next(shared)]
+        assert list(memo) == [(id(q.values), 640, True)] and memo[id(q.values), 640, True][0] is q.values
+        first.append(next(shared))
+        # q is taken from the memo: DCT-Is of q, the inverse, t, the inverse
+        assert memo == {} and rfft_lengths == dct1_plan(320) * 4
+        for x, y in zip(plain, first):
+            assert x == y
+
+    def test_other_products_keep_the_rfft_route(self, rng, irfft_lengths):
+        dx = 0.01
+        factors = [_palindrome(rng, dx, h) for h in (120, 80, 45)]
+        odd = factors[0].values.copy()
+        odd[3] += 1e-3
+        for fs, w0, margin in [
+            ([GridFunction(factors[0].x0, dx, odd)] + factors[1:], 100, 100),  # one factor not a palindrome
+            ([GridFunction(0.0, dx, np.ones(50))] + factors[1:], 100, 100),  # a palindrome of even length
+            (factors, 100, 99),  # a window one node off the centre
+            (factors, 0, 1),
+        ]:
+            x0, n_out = sum(h.x0 for h in fs), sum(len(h) for h in fs) - len(fs) + 1
+            w1 = n_out - 1 - margin
+            irfft_lengths.clear()
+            c = convolve_grid(*fs, lo=x0 + w0 * dx, hi=x0 + w1 * dx)
+            assert len(irfft_lengths) == 1
+            assert c == _rfft_route(fs, w0, w1)
+        # a plain pair of even factors keeps its power-of-two rfft route
+        irfft_lengths.clear()
+        convolve_grid(factors[0], factors[1])
+        assert irfft_lengths == [1 << (len(factors[0]) + len(factors[1]) - 2).bit_length()]
 
 def fraction_sum(values):
     return float(sum(map(Fraction, values.tolist()), Fraction(0)))

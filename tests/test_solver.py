@@ -7,10 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from instruments import consistency_with_el, pair_chain, reflect, restrict
+from instruments import consistency_with_el, dct1_plan, pair_chain, reflect, restrict
 from renyiconv.entropy import ConstraintSet, objective_I
 from renyiconv.euler_lagrange import stationarity_kernel
-from renyiconv.grid import GridFunction, _smooth_length, sample
+from renyiconv.grid import GridFunction, sample
 from renyiconv.piecewise import PiecewisePoly, Polynomial, format_rational
 from renyiconv.solver import (
     FixedPointSolution,
@@ -255,24 +255,29 @@ class TestGridIteration:
                 assert (update.x0, len(update)) == (general.x0, len(general))
                 assert np.max(np.abs(update.values - general.values)) <= 1e-12 * general.values.max()
 
-    def test_p2_update_is_one_inverse_transform(self, irfft_lengths):
-        # the (3, 2) update kernel is one windowed C_5 product: one irfft at
-        # the 5-smooth length that keeps f's nodes of it alias-free
+    def test_p2_update_is_one_inverse_transform(self, rfft_lengths, irfft_lengths):
+        # the (3, 2) update kernel of the even f is one windowed C_5 product
+        # on the cosine route: one DCT-I of f's right half and one inverse,
+        # at the half period P = 320 = 32 * 10, the least 5-smooth multiple
+        # of 32 with 2P >= 601, the bound that keeps f's nodes alias-free
         f = initial_iterate(SolverConfig(mode="grid", dx=1e-2))
         N = len(f)
         iterate_once(f, 3, 2.0)
-        assert irfft_lengths == [_smooth_length(3 * (N - 1) + 1)]
+        assert 3 * (N - 1) + 1 == 601
+        assert irfft_lengths == [] and rfft_lengths == dct1_plan(320) * 2
+        assert max(rfft_lengths) < N
 
     @pytest.mark.parametrize("n, p", [(2, 3.0), (3, 1.5)])
     def test_general_update_is_four_transforms(self, rfft_lengths, irfft_lengths, n, p):
-        # C_n and the second product share f's one spectrum, and both run at
-        # the 5-smooth length that holds C_n in full: 2 rffts, 2 irffts.
-        # At n = 2 and N = 201 that is 405, where a plain pair takes 512
+        # C_n and the second product share f's one spectrum, and both run on
+        # the cosine route at the half period P whose period 2P holds C_n in
+        # full: 4 DCT-Is (f, C_n^(p-1) and the two inverses), no rfft of a
+        # whole factor.  2P = 512 >= 401 at n = 2 and 640 >= 601 at n = 3
         f = initial_iterate(SolverConfig(mode="grid", dx=1e-2))
-        L = _smooth_length(n * (len(f) - 1) + 1)
+        half = {2: 256, 3: 320}[n]
+        assert 2 * half >= n * (len(f) - 1) + 1
         iterate_once(f, n, p)
-        assert rfft_lengths == [L, L]
-        assert irfft_lengths == [L, L]
+        assert irfft_lengths == [] and rfft_lengths == dct1_plan(half) * 4
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
     @pytest.mark.parametrize("f", [

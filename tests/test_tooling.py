@@ -2,9 +2,12 @@
 
 The traced benchmark charges the transform sizes it observes to the next
 grid.convolve_grid span, so a transform taken anywhere else would be
-billed to the wrong call.  Every transform there takes the one length
-convolve_grid chooses, so products that share a factor can share its
-spectrum, and a command's products run at as few lengths as possible.
+billed to the wrong call.  Transforms run in convolve_grid and in
+grid._dct1, the DCT-I of its cosine route, which only convolve_grid
+calls.  Every transform of convolve_grid's own takes the one length it
+chooses, so products that share a factor can share its spectrum, and a
+command's products run at as few lengths as possible; _dct1's take the
+lengths of the arrays it cuts from the half period of that length.
 
 Exact values become floats in one place, PiecewisePoly.sample_lattice,
 at one kind of node, integers m over den (grid.sample hands its float
@@ -45,6 +48,7 @@ import renyiconv
 
 SRC = pathlib.Path(renyiconv.__file__).parent
 FFT_OWNER = ("grid.py", "convolve_grid")
+COSINE_HELPER = "_dct1"  # in grid.py, transforms for FFT_OWNER alone
 PAIR_ROUTE_OWNERS = {("solver.py", "run_fixed_point"), ("euler_lagrange.py", "estimate_x6_grid")}
 DENSITY_TYPES = {"PiecewisePoly", "GridFunction"}
 DENSITY_TYPE_OWNERS = {"piecewise.py", "grid.py", "solver.py"}
@@ -77,15 +81,23 @@ def fft_references(source: str) -> list[tuple[int, str]]:
 
 
 def test_fft_only_inside_convolve_grid():
-    outside, inside = [], 0
+    outside, inside = [], set()
     for path in sorted(SRC.glob("*.py")):
         for line, owner in fft_references(path.read_text()):
-            if (path.name, owner) == FFT_OWNER:
-                inside += 1
+            if path.name == FFT_OWNER[0] and owner in (FFT_OWNER[1], COSINE_HELPER):
+                inside.add(owner)
             else:
                 outside.append(f"{path.name}:{line} in {owner or 'module scope'}")
-    assert not outside, "numpy.fft used outside grid.convolve_grid: " + ", ".join(outside)
-    assert inside > 0
+    assert not outside, "numpy.fft used outside grid.convolve_grid and its cosine helper: " + ", ".join(outside)
+    assert inside == {FFT_OWNER[1], COSINE_HELPER}
+    # the helper runs only inside a convolve_grid span: no other caller
+    source = (SRC / FFT_OWNER[0]).read_text()
+    assert {owner for _, owner in calls_of(COSINE_HELPER, source)} == {FFT_OWNER[1], COSINE_HELPER}
+    names = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name) and node.id == COSINE_HELPER]
+    assert len(names) == len(calls_of(COSINE_HELPER, source)), "the cosine helper handed on as a value"
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != FFT_OWNER[0]:
+            assert COSINE_HELPER not in path.read_text(), path.name
 
 
 def test_finder_sees_every_spelling():
@@ -127,11 +139,15 @@ def calls_of(name: str, source: str) -> list[tuple[int, str]]:
 
 
 def test_every_transform_takes_the_one_length():
-    # convolve_grid chooses n_fft once (5-smooth, or a power of two for a
-    # plain pair) and every transform takes it
+    # convolve_grid chooses n_fft once (5-smooth, a power of two for a
+    # plain pair, or the cosine route's period 2P) and every transform of
+    # its own takes it; _dct1's take none, their arrays' lengths divide P
     source = (SRC / FFT_OWNER[0]).read_text()
-    lengths = transform_lengths(source)
-    assert lengths and {length for _, length in lengths} == {"n_fft"}
+    body = {top.name: ast.unparse(top) for top in ast.parse(source).body if isinstance(top, ast.FunctionDef)}
+    own, helper = transform_lengths(body[FFT_OWNER[1]]), transform_lengths(body[COSINE_HELPER])
+    assert own and {length for _, length in own} == {"n_fft"}
+    assert helper and {length for _, length in helper} == {""}
+    assert len(transform_lengths(source)) == len(own) + len(helper)
     assert {owner for _, owner in calls_of("_smooth_length", source)} == {FFT_OWNER[1]}
     for path in sorted(SRC.glob("*.py")):
         if path.name != FFT_OWNER[0]:
